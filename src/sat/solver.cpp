@@ -243,8 +243,14 @@ Lit CdclSolver::pick_branch() {
 void CdclSolver::var_bump(Var v) {
   activity_[v] += var_inc_;
   if (activity_[v] > 1e100) {
+    // The rescale underflows old activities to exactly 0 and may round
+    // distinct small ones together, so ties (broken by index) appear
+    // that the heap's current shape does not respect. Re-heapify, or the
+    // pick order would depend on the heap's history.
     for (double& a : activity_) a *= 1e-100;
     var_inc_ *= 1e-100;
+    heap_rebuild();
+    return;
   }
   if (heap_index_[v] >= 0) heap_sift_up(static_cast<size_t>(heap_index_[v]));
 }
@@ -347,6 +353,10 @@ void CdclSolver::heap_sift_down(size_t i) {
   }
   heap_[i] = v;
   heap_index_[v] = static_cast<int32_t>(i);
+}
+
+void CdclSolver::heap_rebuild() {
+  for (size_t i = heap_.size() / 2; i > 0; --i) heap_sift_down(i - 1);
 }
 
 Var CdclSolver::heap_pop() {

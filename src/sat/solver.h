@@ -175,6 +175,7 @@ class CdclSolver {
   void heap_insert(Var v);
   void heap_sift_up(size_t i);
   void heap_sift_down(size_t i);
+  void heap_rebuild();  // restores heap order over the current members
   Var heap_pop();
 
   SolverOptions opts_;

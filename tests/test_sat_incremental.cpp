@@ -276,6 +276,120 @@ TEST(SatIncremental, SolverProbeIsSoundAndCoversUnitProbe) {
   }
 }
 
+// The per-fault extensions of a shared miter, lowered up front: each
+// gated fault instance appends variables [begin, end) -- activation
+// first -- and the clauses that mention them. Replaying them into a
+// CdclSolver, solving under each activation and retiring it with the
+// unit NOT activation is the IncrementalMiter protocol spelled out, so
+// a test can drive two solvers through it side by side.
+struct GatedInstance {
+  Var begin = 0;
+  Var end = 0;
+  Lit activation = kLitUndef;
+  std::vector<std::vector<Lit>> clauses;
+};
+
+std::vector<GatedInstance> lower_gated_instances(const UnrolledModel& um,
+                                                 const Netlist& nl,
+                                                 const ClockingScheme& s,
+                                                 size_t max_instances,
+                                                 Cnf* base) {
+  CnfLowering lowering(um);
+  *base = lowering.cnf();
+  std::vector<GatedInstance> out;
+  const FaultList fl = FaultList::build(nl, s.model);
+  for (size_t fi = 0; fi < fl.size() && out.size() < max_instances; ++fi) {
+    for (const UnrolledFault& uf : um.translate(fl.fault(fi))) {
+      const CnfLowering::Mark m = lowering.mark();
+      GatedInstance inst;
+      if (!lowering.add_fault_gated(uf, &inst.activation)) continue;
+      inst.begin = m.num_vars;
+      inst.end = lowering.cnf().num_vars;
+      inst.clauses.assign(lowering.cnf().clauses.begin() +
+                              static_cast<ptrdiff_t>(m.num_clauses),
+                          lowering.cnf().clauses.end());
+      out.push_back(std::move(inst));
+    }
+  }
+  return out;
+}
+
+Netlist miter_test_netlist(uint64_t seed, size_t gates) {
+  Rng rng(seed);
+  test::RandomNetlistParams p;
+  p.pis = 8;
+  p.pos = 6;
+  p.flops = 10;
+  p.gates = gates;
+  return test::random_netlist(rng, p);
+}
+
+TEST(SatIncremental, UnconstrainedVariablesDoNotSteerTheSearch) {
+  // The decision order is a function of (activity, index) over the
+  // variables that can matter, whatever else sits in the heap -- also
+  // after activity rescales, which underflow old activities to exactly
+  // 0 and so create ties the heap must re-break by index. A solver over
+  // a miter F and one over F with an unconstrained variable interleaved
+  // after every variable (v -> 2v, an order-preserving renaming) must
+  // walk the same search: deciding an unconstrained variable implies
+  // nothing, so conflicts, learned clauses and models agree.
+  SolverOptions opts;
+  opts.var_decay = 0.5;  // activity increment doubles per conflict
+  const auto spread = [](Lit l) {
+    return mk_lit(2 * lit_var(l), lit_sign(l));
+  };
+  const Netlist nl = miter_test_netlist(0x5ca1edu, 400);
+  const ClockingScheme s = scheme_cpf_basic(2);
+  UnrolledModel um(nl, s, 0, kNoGate);
+  Cnf base;
+  const std::vector<GatedInstance> insts =
+      lower_gated_instances(um, nl, s, 120, &base);
+  Cnf wide;
+  wide.num_vars = 2 * base.num_vars;
+  for (const auto& c : base.clauses) {
+    std::vector<Lit> w;
+    for (Lit l : c) w.push_back(spread(l));
+    wide.add_clause(std::move(w));
+  }
+  CdclSolver a(base, opts), b(wide, opts);
+  for (size_t i = 0; i < insts.size(); ++i) {
+    const GatedInstance& inst = insts[i];
+    for (Var v = inst.begin; v < inst.end; ++v) {
+      a.new_var();
+      b.new_var();
+      b.new_var();
+    }
+    for (const auto& c : inst.clauses) {
+      std::vector<Lit> w;
+      for (Lit l : c) w.push_back(spread(l));
+      a.add_clause(c);
+      b.add_clause(std::move(w));
+    }
+    const SatResult ra = a.solve({inst.activation});
+    ASSERT_EQ(ra, b.solve({spread(inst.activation)})) << "instance " << i;
+    ASSERT_EQ(a.stats().conflicts, b.stats().conflicts) << "instance " << i;
+    if (ra == SatResult::kSat) {
+      for (Var v = 0; v < inst.end; ++v) {
+        ASSERT_EQ(a.model()[v], b.model()[2 * v])
+            << "instance " << i << " var " << v;
+      }
+    }
+    a.add_clause({lit_neg(inst.activation)});
+    b.add_clause({lit_neg(spread(inst.activation))});
+  }
+  EXPECT_EQ(a.stats().learned_clauses, b.stats().learned_clauses);
+  EXPECT_EQ(a.stats().learned_literals, b.stats().learned_literals);
+  EXPECT_EQ(a.learned_kept(), b.learned_kept());
+  std::vector<std::pair<Lit, Lit>> bins = a.learned_binaries();
+  for (auto& [x, y] : bins) {
+    x = spread(x);
+    y = spread(y);
+  }
+  EXPECT_EQ(bins, b.learned_binaries());
+  // ~330 conflicts per rescale at this decay: many rescales ran.
+  EXPECT_GT(a.stats().conflicts, 2000u);
+}
+
 std::string det_fingerprint(const SessionResult& r) {
   std::ostringstream os;
   for (const TestPattern& p : r.atpg.patterns) {
