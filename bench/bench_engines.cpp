@@ -610,6 +610,10 @@ int write_json_report(const std::string& path) {
     meta.set("atpg.sat.assumption_solves", st.assumption_solves);
     meta.set("atpg.sat.learned_kept", st.learned_kept);
     meta.set("atpg.sat.learned_reused", st.learned_reused);
+    // Retirement of decided miters: where the solver memory went.
+    meta.set("atpg.sat.vars_retired", st.vars_retired);
+    meta.set("atpg.sat.clauses_collected", st.clauses_collected);
+    meta.set("atpg.sat.problem_clauses", st.problem_clauses);
   }
 
   // Compiled-design cache workload: the corpus circuit prepared twice

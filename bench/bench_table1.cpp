@@ -10,7 +10,8 @@
 //                     [--atpg-shards N] [--mode MODE] [--repeat N]
 //                     [--sat] [--sat-budget CONFLICTS] [--json PATH]
 //   default : mid-size SOC (~3 minutes) -- same orderings as full scale
-//   --quick : small SOC (~40 seconds)
+//   --quick : small SOC (~18 minutes on a 4-vCPU host, measured with
+//             the default escalating engine; the SAT probes dominate)
 //   --full  : paper-scale shape run (~15-20 minutes); the EXPERIMENTS.md
 //             Table-1 numbers were produced at this scale
 //   --design PATH : run the five experiments on an external

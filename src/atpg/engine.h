@@ -104,6 +104,10 @@ struct SatStats {
   uint64_t assumption_solves = 0;  ///< solves under activation assumptions
   uint64_t learned_kept = 0;       ///< learned clauses retained at stage end
   uint64_t learned_reused = 0;     ///< propagations from earlier solves' clauses
+  /// Retirement of decided instances (sat/incremental.h).
+  uint64_t vars_retired = 0;       ///< variables taken out of branching
+  uint64_t clauses_collected = 0;  ///< retired problem clauses deleted
+  uint64_t problem_clauses = 0;    ///< live problem clauses at stage end
 };
 
 /// Fault-status tallies after one pipeline stage, for auditable

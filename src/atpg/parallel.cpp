@@ -519,17 +519,7 @@ void ParallelPodem::run() {
   // counters. Probes run leader-side in canonical fault order, so these
   // are deterministic across repeats and shard counts.
   for (const auto& m : miters_) {
-    if (!m) continue;
-    const sat::SolverStats& st = m->solver().stats();
-    SatStats& agg = ctx_.res.sat;
-    agg.solves += st.solves;
-    agg.conflicts += st.conflicts;
-    agg.decisions += st.decisions;
-    agg.propagations += st.propagations;
-    agg.assumption_solves += st.assumption_solves;
-    agg.learned_reused += st.learned_reused;
-    agg.learned_kept += m->solver().learned_kept();
-    agg.relowered_faults += m->relowered_faults();
+    if (m) m->add_stats_to(&ctx_.res.sat);
   }
   ctx_.progress(stage_, ctx_.faults.size(), ctx_.faults.size());
   if (ctx_.opts.verbose) {

@@ -7,10 +7,23 @@
 // assumption {activation} -- there is no mark/rollback re-lowering, and
 // everything the solver learns while deciding one fault (clauses over
 // good-machine rails, saved phases, VSIDS activities) carries over to
-// every later fault in the same model. Decided instances are retired by
-// the permanent unit clause (NOT activation), which is sound for all
-// later solves because a retired activation is never assumed again, and
-// lets the watch lists go dead on the retired cone.
+// every later fault in the same model.
+//
+// Retirement: a decided instance gets the permanent unit clause
+// (NOT activation), sound for all later solves because a retired
+// activation is never assumed again. That unit satisfies every clause of
+// the instance at level 0 -- and every learned clause derived from one,
+// since the activation is only ever decided, never implied, so it stays
+// in each such clause as NOT activation. The instance's own variables
+// [activation + 1, end) are then constrained by nothing live: they are
+// retired from branching (CdclSolver::retire_var), and once the retired
+// clauses exceed kGcShare of the live problem clauses,
+// CdclSolver::simplify() deletes them. Neither step changes the search
+// (see the determinism contract in sat/solver.h). The lowering hands
+// every clause over to the solver and keeps no copy, so the miter's
+// size follows the live instances, not every fault decided so far.
+// Learned clauses are not collected here -- doing so would shift the
+// reduction schedule.
 //
 // Determinism: the miter inherits the solver's determinism contract --
 // a decide() sequence is a pure function of the (instance, budget) call
@@ -24,6 +37,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "atpg/engine.h"
 #include "sat/lower.h"
 #include "sat/solver.h"
 
@@ -60,6 +74,11 @@ class IncrementalMiter {
   Verdict decide(uint64_t key, const UnrolledFault& uf,
                  uint64_t conflict_budget, std::vector<V3>* cube);
 
+  /// Retired problem clauses are collected once they exceed this share
+  /// of the solver's live problem clauses (which include them), so at
+  /// most kGcShare of the live database is garbage at any time.
+  static constexpr double kGcShare = 0.25;
+
   const UnrolledModel& model() const { return lowering_.model(); }
   const CdclSolver& solver() const { return solver_; }
 
@@ -68,23 +87,33 @@ class IncrementalMiter {
   /// reported (atpg.sat.relowered_faults) and asserted by tests.
   uint64_t relowered_faults() const { return relowered_faults_; }
 
+  /// Adds this miter's solver work counters and size gauges to `agg`.
+  void add_stats_to(SatStats* agg) const;
+
  private:
-  /// Feeds variables/clauses the lowering appended since the last sync
+  /// Moves variables/clauses the lowering appended since the last sync
   /// into the solver.
   void sync();
 
   struct Entry {
     Lit activation = kLitUndef;
+    Var end = 0;         // the instance owns variables [activation, end)
+    size_t clauses = 0;  // problem clauses the instance added
     Verdict decided = Verdict::kUnknown;  // meaningful when retired
     bool retired = false;
     bool no_observation = false;
   };
 
+  /// Settles `e` with verdict `v`: the (NOT activation) unit, the
+  /// instance's variables retired from branching, and a level-0
+  /// collection once retired clauses pass kGcShare.
+  void retire(Entry* e, Verdict v);
+
   CnfLowering lowering_;
   CdclSolver solver_;
   std::unordered_map<uint64_t, Entry> entries_;
   uint32_t next_var_ = 0;
-  size_t next_clause_ = 0;
+  size_t retired_clauses_ = 0;  // retired, not yet collected
   uint64_t relowered_faults_ = 0;
 };
 

@@ -75,6 +75,14 @@ class CnfLowering {
   /// observation lies in the fault cone.
   bool add_fault_gated(const UnrolledFault& uf, Lit* activation);
 
+  /// Hands every clause emitted so far to the caller and forgets it;
+  /// variable numbering carries on unchanged. For an owner that feeds
+  /// an incremental solver and keeps no formula copy of its own
+  /// (cnf() and mark() then cover only clauses emitted since).
+  std::vector<std::vector<Lit>> take_clauses() {
+    return std::move(cnf_.clauses);
+  }
+
   /// Maps a solver model back to a PODEM cube: one V3 per model
   /// variable, aligned with model().var_gates().
   std::vector<V3> extract_cube(const std::vector<uint8_t>& model) const;

@@ -36,6 +36,7 @@ CdclSolver::CdclSolver(const Cnf& cnf, SolverOptions opts)
   activity_.assign(n, 0.0);
   phase_.assign(n, 0);
   seen_.assign(n, 0);
+  decision_.assign(n, 1);
   heap_index_.assign(n, -1);
   heap_.reserve(n);
   for (Var v = 0; v < n; ++v) heap_insert(v);
@@ -54,6 +55,7 @@ Var CdclSolver::new_var() {
   activity_.push_back(0.0);
   phase_.push_back(0);
   seen_.push_back(0);
+  decision_.push_back(1);
   heap_index_.push_back(-1);
   heap_insert(v);
   return v;
@@ -97,6 +99,64 @@ bool CdclSolver::add_clause(std::vector<Lit> c) {
   const ClauseRef cr = static_cast<ClauseRef>(clauses_.size());
   clauses_.push_back(Clause{std::move(c), 0.0, 0, false});
   attach_clause(cr);
+  ++problem_clauses_;
+  return true;
+}
+
+void CdclSolver::retire_var(Var v) {
+  OCC_DCHECK(v < decision_.size());
+  if (!decision_[v]) return;
+  // Left in the heap: pick_branch() drops it the first time it surfaces
+  // and cancel_until() never puts it back.
+  decision_[v] = 0;
+  ++stats_.vars_retired;
+}
+
+bool CdclSolver::simplify() {
+  OCC_CHECK(trail_lim_.empty(),
+            "sat: simplify is only legal at decision level 0");
+  if (!ok_) return false;
+  if (propagate() != kNoReason) {
+    ok_ = false;
+    return false;
+  }
+  // Level-0 facts are permanent; no reason pointer may outlive its
+  // clause.
+  for (const Lit l : trail_) reason_[lit_var(l)] = kNoReason;
+
+  // Compact problem clauses with a literal true at level 0 out of the
+  // clause vector, keeping the survivors' relative order.
+  std::vector<ClauseRef> remap(clauses_.size(), kNoReason);
+  ClauseRef kept = 0;
+  for (ClauseRef cr = 0; cr < clauses_.size(); ++cr) {
+    const Clause& c = clauses_[cr];
+    if (!c.learned &&
+        std::any_of(c.lits.begin(), c.lits.end(),
+                    [this](Lit l) { return lit_true(l); })) {
+      continue;
+    }
+    remap[cr] = kept;
+    if (kept != cr) clauses_[kept] = std::move(clauses_[cr]);
+    ++kept;
+  }
+  const size_t removed = clauses_.size() - kept;
+  if (removed == 0) return true;
+  clauses_.resize(kept);
+
+  // Compact every watch list in place, in order: a collected clause is
+  // true at level 0 and never becomes unit or conflicting, so dropping
+  // it leaves the order in which propagation meets every other clause
+  // -- and with it the search -- unchanged.
+  for (auto& ws : watches_) {
+    size_t j = 0;
+    for (const ClauseRef cr : ws) {
+      if (remap[cr] != kNoReason) ws[j++] = remap[cr];
+    }
+    ws.resize(j);
+    if (j < ws.capacity() / 4) ws.shrink_to_fit();
+  }
+  problem_clauses_ -= removed;
+  stats_.clauses_collected += removed;
   return true;
 }
 
@@ -225,7 +285,7 @@ void CdclSolver::cancel_until(uint32_t level) {
     const Var v = lit_var(trail_[i - 1]);
     assigns_[v] = -1;
     reason_[v] = kNoReason;
-    if (heap_index_[v] < 0) heap_insert(v);
+    if (heap_index_[v] < 0 && decision_[v]) heap_insert(v);
   }
   trail_.resize(bound);
   trail_lim_.resize(level);
@@ -235,7 +295,7 @@ void CdclSolver::cancel_until(uint32_t level) {
 Lit CdclSolver::pick_branch() {
   while (!heap_.empty()) {
     const Var v = heap_pop();
-    if (assigns_[v] < 0) return mk_lit(v, phase_[v] == 0);
+    if (assigns_[v] < 0 && decision_[v]) return mk_lit(v, phase_[v] == 0);
   }
   return kLitUndef;
 }
@@ -378,12 +438,13 @@ SatResult CdclSolver::solve(const std::vector<Lit>& assumptions) {
   if (!ok_) return SatResult::kUnsat;
   cancel_until(0);
 
-  // Vars popped by a previous solve's pick_branch but never reinserted
-  // (the SAT exit path leaves the heap drained) go back in ascending
-  // index order.
+#ifndef NDEBUG
+  // cancel_until() re-inserts every variable it unassigns, on every
+  // exit path, so each unassigned decision variable is in the heap.
   for (Var v = 0; v < assigns_.size(); ++v) {
-    if (assigns_[v] < 0 && heap_index_[v] < 0) heap_insert(v);
+    OCC_DCHECK(assigns_[v] >= 0 || !decision_[v] || heap_index_[v] >= 0);
   }
+#endif
   for (const Lit a : assumptions) {
     OCC_CHECK(lit_var(a) < assigns_.size(),
               "sat: assumption references variable ", lit_var(a),

@@ -20,13 +20,23 @@
 // harvest, see learned_binaries()).
 //
 // Determinism contract: a solve sequence is a pure function of the
-// (clause, solve) call sequence and the options. Decisions break
-// activity ties toward the smaller variable index, clause and watch
-// traversal follow insertion order, database reduction orders by
+// (clause, solve, simplify, retire_var) call sequence and the options.
+// The next decision is always the unassigned, unretired variable of
+// highest activity, ties toward the smaller variable index -- the heap
+// is re-heapified after every activity rescale, so this order never
+// depends on the heap's history or on which other variables it holds. Clause and watch traversal follow insertion order (simplify()
+// compacts in place and keeps it), database reduction orders by
 // (activity, insertion index), and no wall-clock, randomization or
 // address-order input exists -- so repeated runs (and runs on different
 // machines) produce identical models, conflict counts and learned
 // clauses.
+//
+// Retirement (the incremental miter's use, see sat/incremental.h): a
+// variable whose every clause is true at level 0 can never be implied
+// or take part in a conflict. Retiring it from branching and deleting
+// its clauses with simplify() therefore leaves the search path --
+// conflicts, learned clauses, models on the other variables -- exactly
+// as it was; only the decision count and the memory drop.
 #pragma once
 
 #include <cstdint>
@@ -78,6 +88,8 @@ struct SolverStats {
   uint64_t learned_reused = 0;
   uint64_t db_reductions = 0;   ///< learned-database reduction passes
   uint64_t learned_removed = 0; ///< learned clauses dropped by reductions
+  uint64_t vars_retired = 0;       ///< decision flags cleared
+  uint64_t clauses_collected = 0;  ///< problem clauses deleted by simplify()
 };
 
 /// One multi-shot CDCL solver over a growing formula. Construction
@@ -95,6 +107,19 @@ class CdclSolver {
   /// level-0 facts. Returns false once the formula is unsatisfiable at
   /// level 0 (every later solve returns kUnsat).
   bool add_clause(std::vector<Lit> c);
+
+  /// Clears the decision flag of `v` for good: from now on it is
+  /// assigned only by propagation. For variables no live clause
+  /// constrains, so solve() can finish without deciding them (they read
+  /// 0 in model()).
+  void retire_var(Var v);
+
+  /// Level-0 garbage collection: propagates pending level-0 facts, then
+  /// deletes every problem clause with a literal true at level 0 and
+  /// compacts the watch lists in place, in order. Learned clauses are
+  /// left alone (collecting them would shift the reduction schedule).
+  /// Returns false once the formula is unsatisfiable at level 0.
+  bool simplify();
 
   /// Replaces the per-solve conflict budget (0 = unlimited).
   void set_conflict_budget(uint64_t budget) {
@@ -121,14 +146,17 @@ class CdclSolver {
   bool ok() const { return ok_; }
 
   /// Satisfying assignment per variable (0/1), valid after kSat. Every
-  /// variable is assigned (the decision loop covers vars absent from
-  /// all clauses).
+  /// decision variable is assigned (the decision loop covers vars absent
+  /// from all clauses); an unassigned non-decision variable reads 0.
   const std::vector<uint8_t>& model() const { return model_; }
 
   const SolverStats& stats() const { return stats_; }
 
   /// Learned clauses currently retained in the database.
   size_t learned_kept() const { return learned_count_; }
+
+  /// Problem (non-learned, non-unit) clauses currently in the database.
+  size_t problem_clauses() const { return problem_clauses_; }
 
   /// Retained learned binary clauses (a OR b), in creation order.
   /// Binaries survive every database reduction, so this is the complete
@@ -192,12 +220,14 @@ class CdclSolver {
   double var_inc_ = 1.0;
   double cla_inc_ = 1.0;
   std::vector<uint8_t> phase_;       // saved polarity per var
+  std::vector<uint8_t> decision_;    // per var: 0 once retired
   std::vector<Var> heap_;            // binary heap of candidate vars
   std::vector<int32_t> heap_index_;  // var -> heap slot or -1
 
   std::vector<uint8_t> seen_;  // conflict-analysis scratch
   bool ok_ = true;             // false once UNSAT at level 0
 
+  size_t problem_clauses_ = 0;        // non-learned clauses in clauses_
   size_t learned_count_ = 0;          // learned clauses in clauses_
   size_t learned_nonbinary_ = 0;      // reduction-eligible subset
   size_t learned_ceiling_ = 0;        // current reduction threshold

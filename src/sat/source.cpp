@@ -102,16 +102,7 @@ void SatPatternSource::generate(PipelineContext& ctx) {
   // is sequential in fault-index order, so everything here is
   // deterministic across repeats and shard settings.
   for (const auto& m : miters) {
-    if (!m) continue;
-    const SolverStats& ss = m->solver().stats();
-    st.solves += ss.solves;
-    st.conflicts += ss.conflicts;
-    st.decisions += ss.decisions;
-    st.propagations += ss.propagations;
-    st.assumption_solves += ss.assumption_solves;
-    st.learned_reused += ss.learned_reused;
-    st.learned_kept += m->solver().learned_kept();
-    st.relowered_faults += m->relowered_faults();
+    if (m) m->add_stats_to(&st);
   }
 }
 

@@ -390,6 +390,125 @@ TEST(SatIncremental, UnconstrainedVariablesDoNotSteerTheSearch) {
   EXPECT_GT(a.stats().conflicts, 2000u);
 }
 
+TEST(SatIncremental, RetirementLeavesTheSearchPathUnchanged) {
+  // The same decide() sequence -- cheap first asks, inconclusive ones
+  // re-asked with no budget at the end, as escalation does -- driven
+  // through two solvers. `b` also gets the retirement calls of
+  // IncrementalMiter (each settled instance's variables retired from
+  // branching, a level-0 collection every few retirements); `a` keeps
+  // every retired clause and branches on every variable. Verdicts,
+  // cubes, conflicts and learned clauses must agree at every step.
+  for (uint64_t seed : {21u, 22u, 23u}) {
+    SCOPED_TRACE(seed);
+    const Netlist nl = miter_test_netlist(seed, 160);
+    const ClockingScheme s = scheme_cpf_basic(2);
+    UnrolledModel um(nl, s, 0, kNoGate);
+    const CnfLowering cubes(um);
+    Cnf base;
+    const std::vector<GatedInstance> insts =
+        lower_gated_instances(um, nl, s, 150, &base);
+    CdclSolver a(base), b(base);
+    size_t retired = 0;
+    const auto ask = [&](const GatedInstance& inst, uint64_t budget) {
+      a.set_conflict_budget(budget);
+      b.set_conflict_budget(budget);
+      const SatResult ra = a.solve({inst.activation});
+      const SatResult rb = b.solve({inst.activation});
+      EXPECT_EQ(ra, rb);
+      EXPECT_EQ(a.stats().conflicts, b.stats().conflicts);
+      EXPECT_EQ(a.learned_kept(), b.learned_kept());
+      if (ra == SatResult::kSat && rb == SatResult::kSat) {
+        EXPECT_EQ(cubes.extract_cube(a.model()),
+                  cubes.extract_cube(b.model()));
+      }
+      if (ra == SatResult::kUnknown) return false;
+      a.add_clause({lit_neg(inst.activation)});
+      b.add_clause({lit_neg(inst.activation)});
+      for (Var v = inst.begin + 1; v < inst.end; ++v) {
+        b.retire_var(v);
+      }
+      if (++retired % 4 == 0) {
+        EXPECT_TRUE(b.simplify());
+      }
+      return true;
+    };
+    std::vector<const GatedInstance*> pending;
+    for (const GatedInstance& inst : insts) {
+      for (Var v = inst.begin; v < inst.end; ++v) {
+        a.new_var();
+        b.new_var();
+      }
+      for (const auto& c : inst.clauses) {
+        a.add_clause(c);
+        b.add_clause(c);
+      }
+      if (!ask(inst, 8)) pending.push_back(&inst);
+    }
+    for (const GatedInstance* inst : pending) EXPECT_TRUE(ask(*inst, 0));
+    EXPECT_FALSE(pending.empty()) << "no instance needed a second ask";
+    EXPECT_EQ(a.stats().learned_clauses, b.stats().learned_clauses);
+    EXPECT_EQ(a.learned_binaries(), b.learned_binaries());
+    EXPECT_GT(b.stats().vars_retired, 0u);
+    EXPECT_GT(b.stats().clauses_collected, 0u);
+    EXPECT_LT(b.stats().decisions, a.stats().decisions);
+    EXPECT_LT(b.problem_clauses(), a.problem_clauses());
+  }
+}
+
+TEST(SatIncremental, LiveClausesBoundedByUnsettledInstances) {
+  // Memory must not grow with the number of faults already decided:
+  // after N faults are decided on one miter, the solver's live problem
+  // clauses are at most the good-machine base plus the still-open
+  // (inconclusive) instances, with at most a kGcShare fraction of
+  // uncollected retired garbage on top.
+  const Netlist nl = miter_test_netlist(31, 160);
+  const ClockingScheme s = scheme_cpf_basic(2);
+  UnrolledModel um(nl, s, 0, kNoGate);
+  IncrementalMiter miter(um);
+  const size_t base = miter.solver().problem_clauses();
+  // An instance's clause count, from a lowering of its own.
+  const auto instance_clauses = [&](const UnrolledFault& uf) {
+    CnfLowering fresh(um);
+    const size_t before = fresh.cnf().clauses.size();
+    Lit act = kLitUndef;
+    fresh.add_fault_gated(uf, &act);
+    return fresh.cnf().clauses.size() - before;
+  };
+  const FaultList fl = FaultList::build(nl, s.model);
+  size_t decided = 0, open = 0, lowered = 0, checks = 0;
+  size_t next_check = 20;
+  for (size_t fi = 0; fi < fl.size(); ++fi) {
+    const auto ufs = um.translate(fl.fault(fi));
+    for (size_t ti = 0; ti < ufs.size(); ++ti) {
+      const uint64_t key = (static_cast<uint64_t>(fi) << 8) | ti;
+      const auto v = miter.decide(key, ufs[ti], 100, nullptr);
+      if (v == IncrementalMiter::Verdict::kNoObservation) continue;
+      const size_t n = instance_clauses(ufs[ti]);
+      lowered += n;
+      if (v == IncrementalMiter::Verdict::kUnknown) {
+        open += n;
+      } else {
+        ++decided;
+      }
+    }
+    if (decided >= next_check) {
+      SCOPED_TRACE(decided);
+      const double bound = static_cast<double>(base + open) /
+                           (1.0 - IncrementalMiter::kGcShare);
+      EXPECT_LE(static_cast<double>(miter.solver().problem_clauses()),
+                bound);
+      ++checks;
+      next_check *= 2;
+    }
+  }
+  EXPECT_EQ(checks, 4u);
+  // Without retirement the solver would hold every lowered instance.
+  EXPECT_GT(static_cast<double>(base + lowered),
+            static_cast<double>(base + open) /
+                (1.0 - IncrementalMiter::kGcShare));
+  EXPECT_GT(miter.solver().stats().clauses_collected, 0u);
+}
+
 std::string det_fingerprint(const SessionResult& r) {
   std::ostringstream os;
   for (const TestPattern& p : r.atpg.patterns) {

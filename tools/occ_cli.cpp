@@ -312,6 +312,9 @@ int cmd_run(const RunArgs& a) {
       meta.set("atpg.sat.assumption_solves", st.assumption_solves);
       meta.set("atpg.sat.learned_kept", st.learned_kept);
       meta.set("atpg.sat.learned_reused", st.learned_reused);
+      meta.set("atpg.sat.vars_retired", st.vars_retired);
+      meta.set("atpg.sat.clauses_collected", st.clauses_collected);
+      meta.set("atpg.sat.problem_clauses", st.problem_clauses);
     }
     if (a.engine.sat_backend) {
       const SatStats& st = r.atpg.sat;
