@@ -8,7 +8,9 @@
 //
 // Usage: bench_table1 [--quick|--full] [--design PATH] [--shards N]
 //                     [--atpg-shards N] [--mode MODE] [--repeat N]
-//                     [--sat] [--sat-budget CONFLICTS] [--json PATH]
+//                     [--sat] [--sat-budget CONFLICTS]
+//                     [--atpg-heuristics on|off]
+//                     [--atpg-escalation on|off] [--json PATH]
 //   default : mid-size SOC (~3 minutes) -- same orderings as full scale
 //   --quick : small SOC (~18 minutes on a 4-vCPU host, measured with
 //             the default escalating engine; the SAT probes dominate)
@@ -32,6 +34,12 @@
 //                PODEM-aborted faults get a CNF miter decision (test
 //                cube or proven-untestable). The per-stage disposition
 //                block in --json then grows a "sat" stage.
+//   --sat-budget CONFLICTS : per-solve conflict budget of --sat
+//                (default 100000; 0 = unlimited)
+//   --atpg-heuristics on|off, --atpg-escalation on|off : PODEM search
+//                heuristics and PODEM->SAT escalation (default on).
+//                `off` reproduces the committed pre-feature counters
+//                bit-exactly; the CI parity gates pin both.
 //   --repeat N : run the experiment suite N times (default 1) and
 //                 report the median wall per experiment in the --json
 //                 report; work counters are asserted identical across
@@ -45,6 +53,7 @@
 //                 this flag); it exists for --design runs on arbitrary
 //                 external circuits, where the paper's orderings make
 //                 no promise.
+//   Any other flag is a usage error (exit 2).
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
@@ -91,10 +100,7 @@ int write_json_report(const std::string& path,
   // parse + scan-insertion builds across every experiment and repeat
   // (asserted == 1 in main); the cache block mirrors `occ run --json`.
   meta.set("parse_count", cache.base_misses);
-  meta.set("cache.hits", cache.hits);
-  meta.set("cache.misses", cache.misses);
-  meta.set("cache.evictions", cache.evictions);
-  meta.set("cache.resident_bytes", cache.resident_bytes);
+  occ::flow::set_cache_stats(meta, cache);
   for (size_t i = 0; i < r.rows.size(); ++i) {
     const auto& row = r.rows[i];
     // "(a)" -> "exp_a".
@@ -107,17 +113,8 @@ int write_json_report(const std::string& path,
     metrics.set(key + ".wall_s", median_wall(walls, i));
     meta.set(key + ".test_coverage", row.result.test_coverage());
     meta.set(key + ".scheme", row.result.scheme_name);
-    // Per-stage fault dispositions (auditable coverage accounting; the
-    // proven_untestable column leaves the test-coverage denominator).
-    for (const auto& d : row.result.stage_dispositions) {
-      const std::string p = key + ".stage." + d.stage + ".";
-      meta.set(p + "detected", d.detected);
-      meta.set(p + "possibly_detected", d.possibly_detected);
-      meta.set(p + "untestable", d.untestable);
-      meta.set(p + "proven_untestable", d.proven_untestable);
-      meta.set(p + "aborted", d.aborted);
-      meta.set(p + "undetected", d.undetected);
-    }
+    occ::flow::set_stage_dispositions(meta, key + ".",
+                                      row.result.stage_dispositions);
   }
   return occ::write_bench_report(path, "bench_table1", std::move(meta),
                                  std::move(metrics))
@@ -130,7 +127,7 @@ int write_json_report(const std::string& path,
 int main(int argc, char** argv) {
   using namespace occ;
   bool quick = false, full = false, allow_shape_fail = false;
-  EngineOptions engine;   // --mode/--shards/--atpg-shards/--sat*
+  EngineOptions engine;    // the shared engine flags (util/cli.h)
   engine.fsim.shards = 0;  // default: hardware concurrency
   size_t repeat = 1;
   std::string json_path;
@@ -167,14 +164,20 @@ int main(int argc, char** argv) {
         return 2;
       }
       json_path = argv[++i];
+    } else {
+      // A typo such as `--atpg-heuristic off` must not silently run the
+      // default engine for minutes.
+      std::cerr << "unknown flag '" << argv[i] << "'\n";
+      return 2;
     }
   }
   const size_t shards = ShardedFaultSim::resolve_shards(engine.fsim.shards);
-  const size_t atpg_shards = engine.atpg_shards;
 
   flow::Table1Config cfg;
-  cfg.fsim = engine.fsim;
-  cfg.fsim.shards = shards;
+  // atpg_shards 0 follows each experiment Session's fsim shard count
+  // (= --shards).
+  cfg.engine = engine;
+  cfg.engine.fsim.shards = shards;
   cfg.soc.seed = 20050307;  // DATE 2005, Munich
   if (!design_path.empty()) {
     // External design: size flags really are ignored (they would
@@ -201,12 +204,6 @@ int main(int argc, char** argv) {
   }
   cfg.max_pulses = 4;
   cfg.atpg.random_rounds = 12;
-  cfg.atpg.sat_backend = engine.sat_backend;
-  cfg.atpg.sat_conflict_budget = engine.sat_conflict_budget;
-  cfg.atpg.heuristics = engine.atpg_heuristics;
-  cfg.atpg.escalation = engine.atpg_escalation;
-  // 0 follows each experiment Session's fsim shard count (= --shards).
-  cfg.atpg.atpg_shards = atpg_shards;
   cfg.design_bench_path = design_path;
 
   std::cout << "=== Table 1: coverage / pattern count, experiments "
@@ -286,8 +283,8 @@ int main(int argc, char** argv) {
         !design_path.empty()
             ? "design:" + design_path
             : (quick ? "quick" : (full ? "full" : "default"));
-    if (write_json_report(json_path, r, walls, scale, shards, atpg_shards,
-                          repeat, cache_stats) != 0) {
+    if (write_json_report(json_path, r, walls, scale, shards,
+                          engine.atpg_shards, repeat, cache_stats) != 0) {
       return 2;
     }
   }

@@ -11,7 +11,7 @@
 /// compression statistics and ATE cost. Every example, bench driver and
 /// the Table-1 harness are one Session each; the legacy run_atpg() is a
 /// thin wrapper over a minimal session (see atpg/engine.cpp) and stays
-/// bit-identical for any fsim_shards setting.
+/// bit-identical for any EngineOptions::fsim shard count.
 ///
 /// Quickstart:
 /// \code
@@ -149,15 +149,6 @@ class SessionConfig {
   /// Pins the ATPG seed; wins over AtpgOptions::seed regardless of the
   /// order seed() and atpg() were called in.
   SessionConfig& seed(uint64_t s);
-  /// Enables/disables the SAT backend stage on PODEM-aborted faults
-  /// (src/sat): every abort is re-decided by CNF lowering + CDCL -- a
-  /// test cube, a redundancy proof (FaultStatus::kProvenUntestable), or
-  /// still-aborted on budget exhaustion. Wins over
-  /// AtpgOptions::sat_backend regardless of call order.
-  SessionConfig& sat_backend(bool on);
-  /// Per-solve conflict budget of the SAT backend (0 = unlimited). Wins
-  /// over AtpgOptions::sat_conflict_budget regardless of call order.
-  SessionConfig& sat_conflict_budget(uint64_t conflicts);
 
   // ---- pluggable stages --------------------------------------------------
   /// Appends a pattern source; with none registered the session runs the
@@ -171,39 +162,11 @@ class SessionConfig {
   // ---- engine selection --------------------------------------------------
   /// The whole engine-selection surface in one call: fault-simulation
   /// mode and shards, PODEM worker shards, SAT backend and its conflict
-  /// budget. This is what the drivers parse their shared
-  /// `--mode/--shards/--atpg-shards/--sat*` flags into (see
-  /// util/cli.h's parse_engine_flag); the atpg_shards/sat fields win
-  /// over the corresponding AtpgOptions fields regardless of the order
-  /// engine() and atpg() were called in. Results are bit-identical for
-  /// every mode and shard count.
+  /// budget, PODEM search heuristics and PODEM->SAT escalation (see
+  /// fsim/options.h). This is the only way to set them; the drivers
+  /// parse their shared engine flags into one EngineOptions (see
+  /// util/cli.h's parse_engine_flag). Defaults to EngineOptions{}.
   SessionConfig& engine(EngineOptions o);
-  /// Deprecated forward of engine(): fault-simulation shards (thread
-  /// pool size). 1 = sequential; 0 = hardware concurrency.
-  SessionConfig& fsim_shards(size_t n);
-  /// Deprecated forward of engine(): worker shards of the deterministic
-  /// PODEM stage (speculative generation, canonical-order commit; see
-  /// atpg/parallel.h). 0 = follow the fault-simulation shard count (the
-  /// default); 1 = the plain sequential loop. Wins over
-  /// AtpgOptions::atpg_shards regardless of call order.
-  SessionConfig& atpg_shards(size_t n);
-  /// Forward of engine(): PODEM search heuristics toggle (atpg/podem.h).
-  /// Off reproduces the pre-heuristic search and all its committed
-  /// counters bit-identically. Wins over AtpgOptions::heuristics
-  /// regardless of call order.
-  SessionConfig& atpg_heuristics(bool on);
-  /// Forward of engine(): adaptive PODEM->SAT escalation of the
-  /// deterministic stage (atpg/engine.h AtpgOptions::escalation). Off
-  /// reproduces the cheap-then-deep PODEM schedule and all its
-  /// committed counters bit-identically. Wins over
-  /// AtpgOptions::escalation regardless of call order.
-  SessionConfig& atpg_escalation(bool on);
-  /// Deprecated forward of engine(): fault-propagation strategy
-  /// (default: word-parallel over the compiled cone replay programs).
-  /// Results are bit-identical for every mode; kConeLimited and
-  /// kExhaustive are the slower reference paths kept for parity checks
-  /// and benchmarking.
-  SessionConfig& fsim_mode(FsimMode m);
 
   // ---- optional stages ---------------------------------------------------
   /// EDT-compress the deterministic cubes after ATPG (implies
@@ -234,19 +197,10 @@ class SessionConfig {
   std::optional<ClockingScheme> scheme_;
   AtpgOptions atpg_;
   std::optional<uint64_t> seed_override_;
-  std::optional<bool> sat_backend_override_;
-  std::optional<uint64_t> sat_budget_override_;
-  std::optional<bool> atpg_heuristics_override_;
-  std::optional<bool> atpg_escalation_override_;
   std::vector<std::shared_ptr<PatternSource>> sources_;
   std::vector<std::shared_ptr<ResultSink>> sinks_;
   ProgressObserver observer_;
-  // Engine selection: the fsim half is read directly; the atpg_shards
-  // and sat halves flow through the optional overrides below (set by
-  // engine() and the deprecated per-field forwards alike) so they win
-  // over AtpgOptions only when explicitly configured.
   EngineOptions engine_;
-  std::optional<size_t> atpg_shards_override_;
   std::optional<EdtConfig> edt_;
   bool on_chip_clocking_ = false;
 };

@@ -1,7 +1,6 @@
 #include "atpg/parallel.h"
 
 #include <algorithm>
-#include <iostream>
 #include <utility>
 
 #include "api/compiled_design.h"
@@ -14,8 +13,15 @@ namespace {
 /// Faults handed to one pool dispatch, per shard. Windows big enough to
 /// amortize the fork-join handshake over real PODEM work, small enough
 /// that a mid-window flush rarely invalidates much speculation (the
-/// flush cadence is opts.merge_window cubes per procedure).
+/// flush cadence is kMergeWindow cubes per procedure).
 constexpr size_t kWindowFaultsPerShard = 16;
+
+/// Open (unfilled) cubes per capture procedure that trigger a flush:
+/// random fill + fault simulation of the whole window.
+constexpr size_t kMergeWindow = 64;
+
+/// Per-probe conflict budget of the escalation SAT probe.
+constexpr uint64_t kEscalationConflictBudget = 2000;
 
 }  // namespace
 
@@ -77,11 +83,6 @@ void merge_into(TestPattern& dst, const TestPattern& src) {
 }
 
 }  // namespace
-
-size_t resolve_atpg_shards(const AtpgOptions& opts,
-                           const ShardedFaultSim& fsim) {
-  return resolve_atpg_shards(opts.atpg_shards, fsim.shards());
-}
 
 ParallelPodem::ParallelPodem(PipelineContext& ctx, size_t shards,
                              std::string stage)
@@ -159,8 +160,7 @@ std::pair<const UnrolledModel*, Podem*> ParallelPodem::model_for(
     sc.podems[nc] = std::make_unique<Podem>(
         *sc.models[nc],
         Podem::Options{.backtrack_limit = ctx_.opts.backtrack_limit,
-                       .heuristics = ctx_.opts.heuristics,
-                       .sat_harvest = ctx_.opts.implication_sat_harvest});
+                       .heuristics = ctx_.engine.atpg_heuristics});
   }
   return {sc.models[nc], sc.podems[nc].get()};
 }
@@ -172,8 +172,7 @@ Podem* ParallelPodem::deep_podem_for(ShardScratch& sc, uint32_t nc) const {
         *sc.models[nc],
         Podem::Options{.backtrack_limit = ctx_.opts.backtrack_limit *
                                           ctx_.opts.abort_retry_factor,
-                       .heuristics = ctx_.opts.heuristics,
-                       .sat_harvest = ctx_.opts.implication_sat_harvest},
+                       .heuristics = ctx_.engine.atpg_heuristics},
         sc.podems[nc]->implications());
   }
   return sc.podems_deep[nc].get();
@@ -213,7 +212,7 @@ void ParallelPodem::attempt_fault(ShardScratch& sc, size_t fi,
       Podem* used = podem;
       Podem::Outcome outc = used->run(uf, seed_cube);
       if (outc == Podem::Outcome::kAborted) {
-        if (ctx_.opts.escalation) {
+        if (ctx_.engine.atpg_escalation) {
           // Stop here: everything after the first cheap abort (SAT
           // probe, deep retry, remaining instances) depends on the
           // history-carrying incremental solver and must run on the
@@ -313,7 +312,7 @@ void ParallelPodem::escalate(size_t fi, Attempt* out) {
       const uint64_t key = (static_cast<uint64_t>(fi) << 8) | ti;
       std::vector<V3> cube;
       const sat::IncrementalMiter::Verdict v = miter_for(nc)->decide(
-          key, uf, ctx_.opts.escalation_conflict_budget, &cube);
+          key, uf, kEscalationConflictBudget, &cube);
       if (v == sat::IncrementalMiter::Verdict::kSat) {
         ++ctx_.res.sat_probe_wins;
         a.cube = cube_to_pattern(*model, cube, ctx_.nl, nc);
@@ -398,13 +397,13 @@ void ParallelPodem::commit_fault(size_t fi, Attempt& att) {
     }
     if (!merged) {
       open_cubes_[att.ncp].push_back(std::move(att.cube));
-      if (open_cubes_[att.ncp].size() >= ctx_.opts.merge_window) {
+      if (open_cubes_[att.ncp].size() >= kMergeWindow) {
         flush(att.ncp);
       }
     }
     // The generated cube provably detects fi even before fsim.
     fl.set_status(fi, FaultStatus::kDetected);
-    if (ctx_.opts.heuristics) {
+    if (ctx_.engine.atpg_heuristics) {
       cube_cache_[fl.fault(fi).gate] = std::make_shared<CubeCacheEntry>(
           CubeCacheEntry{att.ncp, std::move(att.var_cube)});
     }
@@ -522,10 +521,6 @@ void ParallelPodem::run() {
     if (m) m->add_stats_to(&ctx_.res.sat);
   }
   ctx_.progress(stage_, ctx_.faults.size(), ctx_.faults.size());
-  if (ctx_.opts.verbose) {
-    std::cerr << "[atpg] after deterministic stage: "
-              << ctx_.faults.summary() << "\n";
-  }
 }
 
 }  // namespace occ

@@ -53,11 +53,6 @@ constexpr size_t resolve_atpg_shards(size_t atpg_shards,
   return atpg_shards == 0 ? resolved_fsim_shards : atpg_shards;
 }
 
-/// Shard count the deterministic stage actually runs with:
-/// `opts.atpg_shards` resolved against the session's ShardedFaultSim.
-size_t resolve_atpg_shards(const AtpgOptions& opts,
-                           const ShardedFaultSim& fsim);
-
 /// Builds the pattern cube of a PODEM/SAT variable assignment: care bits
 /// placed per the model's VarInfo map, PI values copied forward into
 /// frozen frames. Shared by the deterministic stage and the SAT backend.
@@ -103,10 +98,11 @@ class ParallelPodem {
     TestPattern cube;       ///< the care-bit cube when detected
     std::vector<V3> var_cube;  ///< var-space copy of the detecting cube
     Podem::Stats stats;     ///< PODEM work of this attempt only
-    /// Escalation (opts.escalation): the attempt stopped at its first
-    /// cheap-PODEM abort; the leader resumes it at commit time (SAT
-    /// probe -> deep retry -> remaining instances) so the history-
-    /// dependent incremental solves happen in canonical fault order.
+    /// Escalation (EngineOptions::atpg_escalation): the attempt stopped
+    /// at its first cheap-PODEM abort; the leader resumes it at commit
+    /// time (SAT probe -> deep retry -> remaining instances) so the
+    /// history-dependent incremental solves happen in canonical fault
+    /// order.
     bool pending = false;
     /// Instance proven undetectable by a SAT probe; with no detection
     /// and no abort left, the fault commits as kProvenUntestable.

@@ -226,8 +226,7 @@ Podem::Podem(const UnrolledModel& model, Options opts,
   }
 
   impl_ = impl ? std::move(impl)
-               : std::make_shared<const ImplicationTable>(model,
-                                                          opts_.sat_harvest);
+               : std::make_shared<const ImplicationTable>(model);
   row_stamp_.assign(n, 0);
   row_val_.assign(n, 0);
 }

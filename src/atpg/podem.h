@@ -46,9 +46,6 @@ struct PodemOptions {
   /// dominator early abort, static implication consult, cone-restricted
   /// X-path). Off reproduces the pre-heuristic search bit-identically.
   bool heuristics = true;
-  /// Enrich the implication table via unit-depth probing of the SAT
-  /// lowering (sat/probe.h). Only read when `heuristics` is on.
-  bool sat_harvest = false;
 };
 
 class Podem {

@@ -102,5 +102,25 @@ std::string render_markdown(const Table1Result& r) {
   return os.str();
 }
 
+void set_stage_dispositions(Json& meta, const std::string& prefix,
+                            const std::vector<StageDisposition>& stages) {
+  for (const StageDisposition& d : stages) {
+    const std::string p = prefix + "stage." + d.stage + ".";
+    meta.set(p + "detected", d.detected);
+    meta.set(p + "possibly_detected", d.possibly_detected);
+    meta.set(p + "untestable", d.untestable);
+    meta.set(p + "proven_untestable", d.proven_untestable);
+    meta.set(p + "aborted", d.aborted);
+    meta.set(p + "undetected", d.undetected);
+  }
+}
+
+void set_cache_stats(Json& meta, const DesignCache::Stats& stats) {
+  meta.set("cache.hits", stats.hits);
+  meta.set("cache.misses", stats.misses);
+  meta.set("cache.evictions", stats.evictions);
+  meta.set("cache.resident_bytes", stats.resident_bytes);
+}
+
 }  // namespace flow
 }  // namespace occ

@@ -1,9 +1,13 @@
-// Report rendering: Table-1 style tables with paper reference values.
+// Report rendering: Table-1 style tables with paper reference values,
+// plus the occ-bench-v1 meta blocks the drivers share.
 #pragma once
 
 #include <string>
+#include <vector>
 
+#include "api/compiled_design.h"
 #include "flow/experiment.h"
+#include "util/json.h"
 
 namespace occ {
 namespace flow {
@@ -27,6 +31,19 @@ std::string render_checks(const Table1Result& r);
 
 /// Renders a markdown section for EXPERIMENTS.md.
 std::string render_markdown(const Table1Result& r);
+
+/// Adds one run's per-stage fault dispositions to an occ-bench-v1 meta
+/// object, in run order, as `<prefix>stage.<name>.{detected,
+/// possibly_detected, untestable, proven_untestable, aborted,
+/// undetected}` (the proven_untestable column leaves the test-coverage
+/// denominator). Shared by `occ run --json` and `bench_table1 --json`.
+void set_stage_dispositions(Json& meta, const std::string& prefix,
+                            const std::vector<StageDisposition>& stages);
+
+/// Adds the design-cache counters to an occ-bench-v1 meta object as
+/// `cache.{hits, misses, evictions, resident_bytes}`. Shared by
+/// `occ run --json` and `bench_table1 --json`.
+void set_cache_stats(Json& meta, const DesignCache::Stats& stats);
 
 }  // namespace flow
 }  // namespace occ

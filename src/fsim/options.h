@@ -4,11 +4,13 @@
 /// FsimMode picks the propagation strategy of one NcpFaultSim;
 /// FsimOptions bundles it with the shard count of the ShardedFaultSim
 /// wrapper; EngineOptions adds the remaining engine knobs (deterministic
-/// PODEM worker shards, the SAT backend and its conflict budget) that
-/// used to be scattered over SessionConfig setters and per-driver flag
-/// loops. SessionConfig owns one EngineOptions; the drivers parse the
-/// shared `--mode/--shards/--atpg-shards/--sat/--sat-budget` flags into
-/// it via occ::parse_engine_flag (util/cli.h).
+/// PODEM worker shards, the SAT backend and its conflict budget, the
+/// PODEM search heuristics and the PODEM->SAT escalation). EngineOptions
+/// is the only home of these knobs: SessionConfig::engine() takes one,
+/// and the pipeline stages read it through PipelineContext::engine. The
+/// drivers parse the shared `--mode/--shards/--atpg-shards/--sat/
+/// --sat-budget/--atpg-heuristics/--atpg-escalation` flags into it via
+/// occ::parse_engine_flag (util/cli.h).
 #pragma once
 
 #include <cstddef>
@@ -51,15 +53,20 @@ struct FsimOptions {
   size_t shards = 1;
 };
 
-/// The whole engine-selection surface in one struct: what used to be
-/// SessionConfig::fsim_shards()/atpg_shards()/fsim_mode()/sat_backend()/
-/// sat_conflict_budget() and one flag-parsing branch per driver.
+/// The whole engine-selection surface in one struct. The fsim half and
+/// `atpg_shards` are pure performance knobs (results are bit-identical
+/// for every value); `sat_backend`, `sat_conflict_budget`,
+/// `atpg_heuristics` and `atpg_escalation` change which faults get
+/// decided and how, so they can change results.
 struct EngineOptions {
-  FsimOptions fsim;
+  FsimOptions fsim = {};
   /// Worker shards of the deterministic PODEM stage (0 = follow the
   /// fault-simulation shard count; 1 = plain sequential loop).
   size_t atpg_shards = 0;
-  /// Run the SAT backend (sat/source.h) on PODEM-aborted faults.
+  /// Run the SAT backend (sat/source.h) on faults the PODEM stage left
+  /// aborted: each gets a CNF miter decision -- a test cube, a
+  /// redundancy proof (kProvenUntestable), or kUnknown within the
+  /// conflict budget (stays aborted).
   bool sat_backend = false;
   /// Per-solve conflict budget of the SAT backend; 0 = unlimited.
   uint64_t sat_conflict_budget = 100000;
@@ -68,7 +75,9 @@ struct EngineOptions {
   /// search and all its committed counters bit-identically.
   bool atpg_heuristics = true;
   /// Adaptive PODEM->SAT escalation of the deterministic stage
-  /// (atpg/engine.h AtpgOptions::escalation). Off
+  /// (atpg/parallel.h): a fault aborting at the cheap backtrack limit
+  /// first gets a bounded incremental-SAT probe, and the deep PODEM
+  /// retry runs only when the probe is inconclusive. Off
   /// (`--atpg-escalation off`) reproduces the cheap-then-deep PODEM
   /// schedule and all its committed counters bit-identically.
   bool atpg_escalation = true;

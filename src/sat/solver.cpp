@@ -537,37 +537,6 @@ SatResult CdclSolver::solve(const std::vector<Lit>& assumptions) {
   }
 }
 
-bool CdclSolver::propagate_under(const std::vector<Lit>& assumptions,
-                                 std::vector<Lit>* implied) {
-  implied->clear();
-  if (!ok_) return false;
-  cancel_until(0);
-  if (propagate() != kNoReason) {
-    ok_ = false;
-    return false;
-  }
-  const size_t base = trail_.size();
-  trail_lim_.push_back(trail_.size());
-  bool conflict = false;
-  for (const Lit a : assumptions) {
-    OCC_CHECK(lit_var(a) < assigns_.size(),
-              "sat: assumption references variable ", lit_var(a),
-              " but the solver declares ", assigns_.size());
-    if (lit_false(a)) {
-      conflict = true;
-      break;
-    }
-    if (lit_unassigned(a)) enqueue(a, kNoReason);
-  }
-  if (!conflict) conflict = propagate() != kNoReason;
-  if (!conflict) {
-    implied->assign(trail_.begin() + static_cast<ptrdiff_t>(base),
-                    trail_.end());
-  }
-  cancel_until(0);
-  return !conflict;
-}
-
 std::vector<std::pair<Lit, Lit>> CdclSolver::learned_binaries() const {
   std::vector<std::pair<Lit, Lit>> out;
   for (const Clause& c : clauses_) {

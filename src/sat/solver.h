@@ -134,14 +134,6 @@ class CdclSolver {
   /// usable unless a level-0 conflict was derived (ok() == false).
   SatResult solve(const std::vector<Lit>& assumptions);
 
-  /// Propagation-only probe: asserts `assumptions` on one throwaway
-  /// decision level, runs unit propagation (over problem *and* learned
-  /// clauses) and reports the implied trail literals in propagation
-  /// order, then backtracks. Returns false when propagation derives a
-  /// conflict (the assumptions are infeasible); no clause is learned.
-  bool propagate_under(const std::vector<Lit>& assumptions,
-                       std::vector<Lit>* implied);
-
   /// False once a level-0 conflict proved the formula unsatisfiable.
   bool ok() const { return ok_; }
 

@@ -3,8 +3,8 @@
 /// bench_engines, bench_table1): strict decimal parsing that rejects
 /// non-numeric input instead of silently reading it as 0 the way
 /// std::atoi does, plus the one shared parser for the engine-selection
-/// flags (`--mode/--shards/--atpg-shards/--sat/--sat-budget`) every
-/// driver used to hand-roll. All drivers report a usage error and exit
+/// flags (`--mode/--shards/--atpg-shards/--sat/--sat-budget/
+/// --atpg-heuristics/--atpg-escalation`) every driver used to hand-roll. All drivers report a usage error and exit
 /// 2 on a malformed value.
 #pragma once
 

@@ -1,5 +1,6 @@
 // Tests: occ::Session pipeline API -- golden paths, observer ordering,
-// error cases, run_atpg parity and sharded fault-simulation determinism.
+// error cases, run_atpg parity, the engine-selection route and sharded
+// fault-simulation determinism.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -9,6 +10,7 @@
 #include "dft/scan.h"
 #include "fsim/sharded.h"
 #include "gen/circuits.h"
+#include "test_helpers.h"
 #include "util/check.h"
 
 namespace occ {
@@ -168,7 +170,7 @@ TEST(Session, RunAtpgParity) {
   for (size_t shards : {size_t{1}, size_t{3}}) {
     SessionConfig cfg;
     cfg.design_ref(nl).scan_en(se).scheme(scheme).atpg(opts)
-        .fsim_shards(shards);
+        .engine({.fsim = {.shards = shards}});
     const SessionResult r = Session(std::move(cfg)).run();
     EXPECT_EQ(legacy.pattern_count(), r.pattern_count())
         << "shards=" << shards;
@@ -185,6 +187,92 @@ TEST(Session, RunAtpgParity) {
           << "fault " << i << " diverged with shards=" << shards;
     }
   }
+}
+
+// ---- engine selection ----------------------------------------------------
+
+// Patterns, fault statuses and the committed ATPG work counters of one
+// run (fault-simulation work is left out: it depends on the fsim mode).
+std::string atpg_fingerprint(const SessionResult& r) {
+  std::ostringstream os;
+  for (const TestPattern& p : r.atpg.patterns) {
+    os << p.ncp_index << '|';
+    for (const auto& frame : p.pi_frames) {
+      for (V3 v : frame) os << v3_char(v);
+    }
+    os << '|';
+    for (V3 v : p.load) os << v3_char(v);
+    os << '\n';
+  }
+  for (size_t i = 0; i < r.atpg.faults.size(); ++i) {
+    os << static_cast<int>(r.atpg.faults.status(i));
+  }
+  const Podem::Stats& ps = r.atpg.podem;
+  os << "|podem:" << ps.runs << ',' << ps.decisions << ',' << ps.backtracks
+     << ',' << ps.implication_hits << ',' << ps.cache_tries;
+  os << "|esc:" << r.atpg.escalations << ',' << r.atpg.sat_probe_wins;
+  os << "|sat:" << r.atpg.sat.solves << ',' << r.atpg.sat.conflicts;
+  return os.str();
+}
+
+// SessionConfig::engine() is the only entry point of the engine knobs:
+// each field set through it alone must reach the stage that reads it.
+TEST(Session, EngineRouteReachesEveryStage) {
+  Rng rng(2);
+  const Netlist nl = test::random_netlist(
+      rng, {.pis = 8, .pos = 6, .flops = 10, .gates = 120});
+  AtpgOptions starved;  // plenty of aborts for escalation and SAT
+  starved.backtrack_limit = 1;
+  starved.abort_retry_factor = 1;
+  const auto run = [&](EngineOptions engine) {
+    SessionConfig cfg;
+    cfg.design_ref(nl)
+        .scheme(scheme_stuck_at_external(2))
+        .atpg(starved)
+        .engine(engine);
+    return Session(std::move(cfg)).run();
+  };
+  const auto aborted = [](const SessionResult& r) {
+    return r.atpg.faults.count(FaultStatus::kAborted);
+  };
+
+  // Defaults: heuristics and escalation on, no SAT stage.
+  const SessionResult base = run({});
+  ASSERT_GT(base.atpg.escalations, 0u) << "workload never escalated";
+  ASSERT_GT(base.atpg.podem.implication_hits, 0u);
+  ASSERT_GT(base.atpg.podem.cache_tries, 0u);
+  ASSERT_FALSE(base.atpg.stage_dispositions.empty());
+  EXPECT_EQ(base.atpg.stage_dispositions.back().stage, "podem");
+
+  // sat_backend adds the SAT stage; its budget decides what stays
+  // aborted (escalation off so the aborts reach the stage).
+  const SessionResult sat_starved = run(
+      {.sat_backend = true, .sat_conflict_budget = 1,
+       .atpg_escalation = false});
+  EXPECT_EQ(sat_starved.atpg.stage_dispositions.back().stage, "sat");
+  EXPECT_GT(sat_starved.atpg.sat.still_aborted, 0u);
+  EXPECT_GT(aborted(sat_starved), 0u);
+  const SessionResult sat_unlimited = run(
+      {.sat_backend = true, .sat_conflict_budget = 0,
+       .atpg_escalation = false});
+  EXPECT_EQ(sat_unlimited.atpg.stage_dispositions.back().stage, "sat");
+  EXPECT_EQ(aborted(sat_unlimited), 0u);
+
+  const SessionResult no_escalation = run({.atpg_escalation = false});
+  EXPECT_EQ(no_escalation.atpg.escalations, 0u);
+  EXPECT_EQ(no_escalation.atpg.sat_probe_wins, 0u);
+
+  const SessionResult no_heuristics = run({.atpg_heuristics = false});
+  EXPECT_EQ(no_heuristics.atpg.podem.implication_hits, 0u);
+  EXPECT_EQ(no_heuristics.atpg.podem.cache_tries, 0u);
+
+  // Pure performance knobs: identical results for every value.
+  const std::string fp = atpg_fingerprint(base);
+  EXPECT_EQ(fp, atpg_fingerprint(run({.atpg_shards = 1})));
+  EXPECT_EQ(fp, atpg_fingerprint(run({.atpg_shards = 3})));
+  EXPECT_EQ(fp, atpg_fingerprint(
+                    run({.fsim = {.mode = FsimMode::kExhaustive,
+                                  .shards = 2}})));
 }
 
 // ---- sharded fault simulation -------------------------------------------
@@ -242,7 +330,7 @@ TEST(ShardedFaultSim, TransitionSessionIdenticalAcrossShards) {
   auto run_with = [&](size_t shards) {
     SessionConfig cfg;
     cfg.design_ref(nl).scan_en(se).scheme(scheme_cpf_enhanced(2, 3))
-        .atpg(opts).fsim_shards(shards);
+        .atpg(opts).engine({.fsim = {.shards = shards}});
     return Session(std::move(cfg)).run();
   };
   const SessionResult r1 = run_with(1);

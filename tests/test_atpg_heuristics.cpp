@@ -5,8 +5,8 @@
 //     circuits (atpg/scoap.h);
 //   * implication-table soundness against a brute-force single-literal
 //     forward simulation, across all five Table-1 clocking schemes
-//     (atpg/implications.h), including the SAT unit-probe harvest
-//     checked exhaustively over every variable completion;
+//     (atpg/implications.h), plus every row checked exhaustively over
+//     every variable completion;
 //   * dominator early abort never reclassifies a testable fault:
 //     a crafted guaranteed-prune circuit plus randomized on/off
 //     full-search agreement;
@@ -183,7 +183,7 @@ TEST(AtpgHeuristics, ImplicationRowsMatchBruteForceAcrossSchemes) {
   }
 }
 
-TEST(AtpgHeuristics, SatHarvestRowsHoldUnderEveryCompletion) {
+TEST(AtpgHeuristics, ImplicationRowsHoldUnderEveryCompletion) {
   // Small model so every 0/1 completion of the variables can be
   // enumerated: each row literal must hold in every completion that
   // contains its inducing literal (the table's soundness contract).
@@ -196,10 +196,7 @@ TEST(AtpgHeuristics, SatHarvestRowsHoldUnderEveryCompletion) {
   const size_t nv = um.var_gates().size();
   ASSERT_LE(nv, 12u) << "shrink the netlist: completion sweep is 2^nv";
 
-  const ImplicationTable plain(um, /*sat_harvest=*/false);
-  const ImplicationTable harvested(um, /*sat_harvest=*/true);
-  // The harvest only ever adds implications.
-  EXPECT_GE(harvested.num_literals(), plain.num_literals());
+  const ImplicationTable table(um);
 
   const Netlist& comb = um.comb();
   std::vector<V3> vals(comb.size());
@@ -237,14 +234,12 @@ TEST(AtpgHeuristics, SatHarvestRowsHoldUnderEveryCompletion) {
     }
     // Every row whose inducing literal this completion contains must be
     // fully satisfied by it.
-    for (const ImplicationTable* table : {&plain, &harvested}) {
-      for (uint32_t v = 0; v < nv; ++v) {
-        const bool val = ((mask >> v) & 1) != 0;
-        for (const uint32_t lit : table->row(v, val)) {
-          EXPECT_EQ(vals[ImplicationTable::lit_gate(lit)],
-                    v3_from_bool(ImplicationTable::lit_value(lit)))
-              << "unsound implication from var " << v << " = " << val;
-        }
+    for (uint32_t v = 0; v < nv; ++v) {
+      const bool val = ((mask >> v) & 1) != 0;
+      for (const uint32_t lit : table.row(v, val)) {
+        EXPECT_EQ(vals[ImplicationTable::lit_gate(lit)],
+                  v3_from_bool(ImplicationTable::lit_value(lit)))
+            << "unsound implication from var " << v << " = " << val;
       }
     }
   }
@@ -422,11 +417,11 @@ TEST(AtpgHeuristics, SessionOnOffSatClassificationsAgree) {
       cfg.design([prm] { return gen::generate_soc(prm); })
           .scan({.num_chains = 2})
           .scheme(scheme)
-          .sat_backend(true)
-          .sat_conflict_budget(2000)
-          .atpg_heuristics(heur)
-          .fsim_shards(1)
-          .atpg_shards(1);
+          .engine({.fsim = {.shards = 1},
+                   .atpg_shards = 1,
+                   .sat_backend = true,
+                   .sat_conflict_budget = 2000,
+                   .atpg_heuristics = heur});
       AtpgOptions opts;
       opts.backtrack_limit = 25;
       opts.abort_retry_factor = 1;
@@ -456,11 +451,11 @@ TEST(AtpgHeuristics, CorpusOnOffSatClassificationsAgree) {
         cfg.design_file(std::string(OCC_CIRCUITS_DIR) + "/" + name)
             .scan({.num_chains = 2})
             .scheme(scheme)
-            .sat_backend(true)
-            .sat_conflict_budget(2000)
-            .atpg_heuristics(heur)
-            .fsim_shards(1)
-            .atpg_shards(1);
+            .engine({.fsim = {.shards = 1},
+                     .atpg_shards = 1,
+                     .sat_backend = true,
+                     .sat_conflict_budget = 2000,
+                     .atpg_heuristics = heur});
         AtpgOptions opts;
         opts.backtrack_limit = 25;
         opts.abort_retry_factor = 1;
@@ -518,9 +513,9 @@ TEST(AtpgHeuristics, CubeCacheDeterministicAcrossRepeatsAndShards) {
     cfg.design([prm] { return gen::generate_soc(prm); })
         .scan({.num_chains = 4})
         .scheme(scheme_cpf_basic(2))
-        .atpg_heuristics(true)
-        .fsim_shards(1)
-        .atpg_shards(shards);
+        .engine({.fsim = {.shards = 1},
+                 .atpg_shards = shards,
+                 .atpg_heuristics = true});
     AtpgOptions opts;
     opts.backtrack_limit = 80;
     cfg.atpg(opts);

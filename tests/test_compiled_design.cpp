@@ -111,8 +111,7 @@ SessionConfig make_config(const SchemeSpec& spec,
       .scheme(spec.scheme)
       .atpg(cheap_atpg())
       .on_chip_clocking(spec.on_chip)
-      .fsim_mode(mode)
-      .fsim_shards(shards);
+      .engine({.fsim = {.mode = mode, .shards = shards}});
   if (cache != nullptr) {
     cfg.design_cache(cache).design_key("soc5");
   }
@@ -185,13 +184,12 @@ TEST(CompiledDesign, CachedVsFreshBitIdentityWithSatBackend) {
   AtpgOptions starved;
   starved.backtrack_limit = 10;
   starved.abort_retry_factor = 1;
-  starved.sat_backend = true;
   const SchemeSpec spec{"cpf_basic", true,
                         scheme_cpf_basic(soc_params().domains)};
   const auto cache = std::make_shared<DesignCache>();
   auto run_one = [&](const std::shared_ptr<DesignCache>& c) {
     SessionConfig cfg = make_config(spec, c);
-    cfg.atpg(starved);
+    cfg.atpg(starved).engine({.sat_backend = true});
     return Session(std::move(cfg)).run();
   };
   const SessionResult fresh = run_one(nullptr);
@@ -220,7 +218,7 @@ TEST(CompiledDesign, PrepareOnceExecuteMany) {
     cfg.compiled(cd)
         .atpg(cheap_atpg())
         .on_chip_clocking(spec.on_chip)
-        .fsim_shards(1);
+        .engine({.fsim = {.shards = 1}});
     const SessionResult r = Session(std::move(cfg)).run();
     EXPECT_EQ(result_fingerprint(baseline), result_fingerprint(r))
         << "injected-artifact run " << i << " diverged";

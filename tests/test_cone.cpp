@@ -261,7 +261,7 @@ TEST(ConeParity, SessionPipelineIdenticalAcrossModes) {
     cfg.design([] { return gen::make_counter(8); })
         .scan({.num_chains = 2})
         .scheme(scheme_cpf_basic(1))
-        .fsim_mode(m);
+        .engine({.fsim = {.mode = m}});
     return Session(std::move(cfg)).run();
   };
   const SessionResult a = run(FsimMode::kConeLimited);

@@ -240,7 +240,7 @@ TEST(ConeProgramParity, SessionPipelineIdenticalToInterpreted) {
     cfg.design_file(std::string(OCC_CIRCUITS_DIR) + "/s344c.bench")
         .scan({.num_chains = 2})
         .scheme(scheme_cpf_basic(1))
-        .fsim_mode(m);
+        .engine({.fsim = {.mode = m}});
     return Session(std::move(cfg)).run();
   };
   const SessionResult a = run(FsimMode::kCompiled);

@@ -163,11 +163,11 @@ TEST(Corpus, ShardedBitIdenticalToSequential) {
   for (const char* name : {"s27m.bench", "s344c.bench", "s1423c.bench"}) {
     SCOPED_TRACE(name);
     SessionConfig seq = corpus_config(name, 3);
-    seq.fsim_shards(1);
+    seq.engine({.fsim = {.shards = 1}});
     const std::string fp_seq = fingerprint(Session(std::move(seq)).run());
     for (size_t shards : {2, 5}) {
       SessionConfig par = corpus_config(name, 3);
-      par.fsim_shards(shards);
+      par.engine({.fsim = {.shards = shards}});
       EXPECT_EQ(fp_seq, fingerprint(Session(std::move(par)).run()))
           << "shards=" << shards;
     }
@@ -178,10 +178,10 @@ TEST(Corpus, ConeLimitedBitIdenticalToExhaustive) {
   for (const char* name : {"s27.bench", "s27m.bench", "s344c.bench"}) {
     SCOPED_TRACE(name);
     SessionConfig cone = corpus_config(name, 3);
-    cone.fsim_mode(FsimMode::kConeLimited);
+    cone.engine({.fsim = {.mode = FsimMode::kConeLimited}});
     const SessionResult r_cone = Session(std::move(cone)).run();
     SessionConfig ex = corpus_config(name, 3);
-    ex.fsim_mode(FsimMode::kExhaustive);
+    ex.engine({.fsim = {.mode = FsimMode::kExhaustive}});
     const SessionResult r_ex = Session(std::move(ex)).run();
     EXPECT_EQ(fingerprint(r_cone), fingerprint(r_ex));
     EXPECT_LE(r_cone.atpg.fsim.gate_evals, r_ex.atpg.fsim.gate_evals)

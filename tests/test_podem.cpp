@@ -356,10 +356,10 @@ TEST(Podem, AbortedFaultsReachSatBackendUnchanged) {
   SessionConfig cfg;
   cfg.design_ref(nl)
       .scheme(scheme_stuck_at_external(1))
-      .sat_backend(true)
-      .atpg_escalation(false)
-      .fsim_shards(1)
-      .atpg_shards(1);
+      .engine({.fsim = {.shards = 1},
+               .atpg_shards = 1,
+               .sat_backend = true,
+               .atpg_escalation = false});
   AtpgOptions opts;
   opts.backtrack_limit = 30;
   opts.abort_retry_factor = 1;

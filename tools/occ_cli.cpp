@@ -11,13 +11,14 @@
 //           [--shards N] [--atpg-shards N]
 //           [--mode word|compiled|cone|exhaustive] [--seed N]
 //           [--random-rounds N] [--edt CHANNELS] [--repeat N]
-//           [--sat] [--sat-budget CONFLICTS] [--json PATH] [--quiet]
+//           [--sat] [--sat-budget CONFLICTS] [--atpg-heuristics on|off]
+//           [--atpg-escalation on|off] [--json PATH] [--quiet]
 //
 // The engine-selection flags (--mode/--shards/--atpg-shards/--sat/
-// --sat-budget) are the shared vocabulary of util/cli.h's
-// parse_engine_flag and map onto one occ::EngineOptions handed to
-// SessionConfig::engine(); bench_engines and bench_table1 parse the
-// identical set.
+// --sat-budget/--atpg-heuristics/--atpg-escalation) are the shared
+// vocabulary of util/cli.h's parse_engine_flag and map onto one
+// occ::EngineOptions handed to SessionConfig::engine(); bench_engines
+// and bench_table1 parse the identical set.
 //   occ stats --design circuits/s344c.bench
 //   occ corpus [--dir circuits]
 //   occ sat-export --design circuits/s344c.bench --fault N [--scheme ncp]
@@ -61,6 +62,7 @@
 #include "core/clock_scheme.h"
 #include "dft/scan.h"
 #include "fault/fault_list.h"
+#include "flow/report.h"
 #include "fsim/sharded.h"
 #include "gen/socgen.h"
 #include "netlist/bench_io.h"
@@ -82,6 +84,7 @@ int usage(const char* argv0) {
       << "      [--atpg-shards N] [--mode word|compiled|cone|exhaustive]\n"
       << "      [--seed N] [--random-rounds N] [--edt CHANNELS]\n"
       << "      [--repeat N] [--sat] [--sat-budget CONFLICTS]\n"
+      << "      [--atpg-heuristics on|off] [--atpg-escalation on|off]\n"
       << "      [--json PATH] [--quiet]\n"
       << "  " << argv0 << " stats --design PATH\n"
       << "  " << argv0 << " corpus [--dir DIR]\n"
@@ -266,18 +269,7 @@ int cmd_run(const RunArgs& a) {
     meta.set("repeat", repeat);
     meta.set("test_coverage", r.test_coverage());
     meta.set("fault_coverage", r.fault_coverage());
-    // Per-stage fault dispositions: auditable coverage accounting. The
-    // proven_untestable column is excluded from the test-coverage
-    // denominator (see FaultList::test_coverage).
-    for (const StageDisposition& d : r.atpg.stage_dispositions) {
-      const std::string p = "stage." + d.stage + ".";
-      meta.set(p + "detected", d.detected);
-      meta.set(p + "possibly_detected", d.possibly_detected);
-      meta.set(p + "untestable", d.untestable);
-      meta.set(p + "proven_untestable", d.proven_untestable);
-      meta.set(p + "aborted", d.aborted);
-      meta.set(p + "undetected", d.undetected);
-    }
+    flow::set_stage_dispositions(meta, "", r.atpg.stage_dispositions);
     Json metrics = Json::object();
     metrics.set("patterns", r.pattern_count());
     metrics.set("gate_evals", r.atpg.fsim.gate_evals);
@@ -294,13 +286,7 @@ int cmd_run(const RunArgs& a) {
     metrics.set("wall_ms.prepare_cold", prepare_cold_ms);
     if (repeat > 1) metrics.set("wall_ms.prepare_warm", prepare_warm_ms);
     metrics.set("wall_s", r.seconds);
-    {
-      const DesignCache::Stats cs = cache->stats();
-      meta.set("cache.hits", cs.hits);
-      meta.set("cache.misses", cs.misses);
-      meta.set("cache.evictions", cs.evictions);
-      meta.set("cache.resident_bytes", cs.resident_bytes);
-    }
+    flow::set_cache_stats(meta, cache->stats());
     // Escalation + incremental-SAT accounting. Emitted unconditionally:
     // the deterministic stage's escalation probes do SAT work (and fold
     // it into atpg.sat counters) even with the SAT backend stage off.
