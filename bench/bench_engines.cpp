@@ -28,12 +28,12 @@
 // of these only three affect the report -- --atpg-shards pins the worker
 // count of the parallel deterministic-PODEM workload (atpg.det.*;
 // default 0 = hardware concurrency), --atpg-heuristics toggles the PODEM
-// search heuristics across the ATPG workloads, and --atpg-escalation
-// toggles the PODEM->SAT escalation of the atpg.det.* and atpg.sat.*
-// workloads (`off` reproduces the pre-feature counters bit-exactly,
-// which the CI parity gates pin for bench_table1) -- because every
-// other workload pins its own engine by design: the report's whole
-// point is to measure the modes against each other.
+// search heuristics and --atpg-escalation the PODEM->SAT escalation
+// across the ATPG workloads (atpg.det.*, atpg.sat.*, session.* and
+// corpus_s1423c.session.*; escalation `off` reproduces the pre-feature
+// counters bit-exactly, which the CI parity gates pin for bench_table1)
+// -- because every other workload pins its own engine by design: the
+// report's whole point is to measure the modes against each other.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -78,10 +78,12 @@ std::string g_corpus_dir = "circuits";
 size_t g_repeat = 1;
 /// Engine-selection flags (shared parse_engine_flag vocabulary). Only
 /// `atpg_shards`, `atpg_heuristics` and `atpg_escalation` are consumed
-/// (see the file comment); `atpg_shards` pins the deterministic-PODEM
-/// worker count of the --json report's atpg.det workload (0 = hardware
-/// concurrency, matching the sharded-fsim workload; results are
-/// bit-identical for every value, only atpg.det.wall_ms moves). The
+/// (see the file comment), the latter two by every workload that runs
+/// ATPG, so one report never mixes engines; `atpg_shards` pins the
+/// deterministic-PODEM worker count of the --json report's atpg.det
+/// workload (0 = hardware concurrency, matching the sharded-fsim
+/// workload; results are bit-identical for every value, only
+/// atpg.det.wall_ms moves). The
 /// other fields parse but deliberately do not steer the report: its
 /// workloads pin their own FsimMode/shard counts to compare them.
 EngineOptions g_engine;
@@ -460,7 +462,8 @@ int write_json_report(const std::string& path) {
       SessionConfig cfg;
       cfg.design_ref(nl)
           .scheme(scheme_cpf_basic(nl.num_domains()))
-          .engine({.atpg_heuristics = g_engine.atpg_heuristics});
+          .engine({.atpg_heuristics = g_engine.atpg_heuristics,
+                   .atpg_escalation = g_engine.atpg_escalation});
       const auto t0 = std::chrono::steady_clock::now();
       const SessionResult res = Session(std::move(cfg)).run();
       walls.push_back(ms_since(t0));
@@ -694,7 +697,8 @@ int write_json_report(const std::string& path) {
       cfg.design_file(path)
           .scan({.num_chains = 4})
           .scheme(scheme_cpf_basic(parsed.num_domains()))
-          .engine({.atpg_heuristics = g_engine.atpg_heuristics});
+          .engine({.atpg_heuristics = g_engine.atpg_heuristics,
+                   .atpg_escalation = g_engine.atpg_escalation});
       const auto t0 = std::chrono::steady_clock::now();
       const SessionResult res = Session(std::move(cfg)).run();
       walls.push_back(ms_since(t0));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <type_traits>
 
 #include "fault/order.h"
 #include "util/check.h"
@@ -9,13 +10,63 @@
 namespace occ {
 namespace {
 
+// ---- value planes ----------------------------------------------------
+// The compiled kernel runs on one of two value planes: Val64 (01X, a
+// value word and an x word per net) or uint64_t (X-free frames, where
+// the x word is identically zero and dropped). Each operation the
+// kernel needs has one overload per plane. On X-free data the uint64_t
+// forms compute exactly the v word of the Val64 forms and the
+// difference masks coincide, so both planes drive the same activation
+// schedule.
+
 /// Slots where a and b are both known and disagree.
 uint64_t hard_diff(Val64 a, Val64 b) {
   return (a.v ^ b.v) & ~a.x & ~b.x;
 }
+uint64_t hard_diff(uint64_t a, uint64_t b) { return a ^ b; }
 
 /// Slots where exactly one of a, b is known (X-marginal disagreement).
 uint64_t possible_diff(Val64 a, Val64 b) { return a.x ^ b.x; }
+uint64_t possible_diff(uint64_t, uint64_t) { return 0; }
+
+/// Slots where a and b differ, hard or possibly.
+template <class P>
+uint64_t differs(P a, P b) {
+  return hard_diff(a, b) | possible_diff(a, b);
+}
+
+/// Forces the lanes of `mask` to the known bits `bits` (bits within
+/// mask): the stem/branch fault injection.
+Val64 force(Val64 a, uint64_t mask, uint64_t bits) {
+  return {(a.v & ~mask) | bits, a.x & ~mask};
+}
+uint64_t force(uint64_t a, uint64_t mask, uint64_t bits) {
+  return (a & ~mask) | bits;
+}
+
+/// Complements the known lanes when m is ~0 (identity when 0): the
+/// inversion masks of the lowered evaluation classes.
+Val64 flip(Val64 a, uint64_t m) { return {(a.v ^ m) & ~a.x, a.x}; }
+uint64_t flip(uint64_t a, uint64_t m) { return a ^ m; }
+
+Val64 and2(Val64 a, Val64 b) { return v_and(a, b); }
+uint64_t and2(uint64_t a, uint64_t b) { return a & b; }
+
+Val64 xor2(Val64 a, Val64 b) { return v_xor(a, b); }
+uint64_t xor2(uint64_t a, uint64_t b) { return a ^ b; }
+
+/// Plane value <-> the two-word form of the good machine, the carried
+/// state and eval_gate_packed (X-free words get a zero x word).
+Val64 to_val64(Val64 a) { return a; }
+Val64 to_val64(uint64_t v) { return {v, 0}; }
+template <class P>
+P from_val64(Val64 a) {
+  if constexpr (std::is_same_v<P, Val64>) {
+    return a;
+  } else {
+    return a.v;
+  }
+}
 
 /// FNV-1a over the fault list's defining fields (order-cache key).
 uint64_t fault_list_hash(const FaultList& fl) {
@@ -44,6 +95,23 @@ std::vector<uint8_t> scan_observable_flags(const Netlist& nl) {
 }
 
 }  // namespace
+
+template <class P>
+void NcpFaultSim::ValuePlane<P>::prime(const ConeProgram& prog,
+                                       const GoodFrames& gf) {
+  const size_t frames = prog.frames.size();
+  good.resize(frames);
+  arena.resize(frames);
+  for (size_t f = 0; f < frames; ++f) {
+    const FrameProgram& fp = prog.frames[f];
+    const std::vector<Val64>& frame = gf.frames[f];
+    good[f].resize(fp.num_nodes);
+    for (uint32_t n = 0; n < fp.num_nodes; ++n) {
+      good[f][n] = from_val64<P>(frame[fp.gate_of[n]]);
+    }
+    arena[f] = good[f];
+  }
+}
 
 NcpFaultSim::NcpFaultSim(const Netlist& nl, const ClockingScheme& scheme,
                          GateId scan_en_pi, FsimMode mode,
@@ -150,41 +218,22 @@ void NcpFaultSim::simulate_good(const PatternBatch& batch) {
     // Pack the good-machine frames into dense-id order and prime the
     // per-frame write-through arenas with them. Once per batch,
     // amortized over every fault probed against it.
-    scratch_.good_dense.resize(frames);
-    scratch_.frame_vals.resize(frames);
-    for (size_t f = 0; f < frames; ++f) {
-      const FrameProgram& fp = cur_prog_->frames[f];
-      auto& gd = scratch_.good_dense[f];
-      gd.resize(fp.num_nodes);
-      const std::vector<Val64>& frame = good_.frames[f];
-      for (uint32_t n = 0; n < fp.num_nodes; ++n) {
-        gd[n] = frame[fp.gate_of[n]];
-      }
-      scratch_.frame_vals[f] = gd;
-    }
+    std::get<ValuePlane<Val64>>(scratch_.planes).prime(*cur_prog_, good_);
   }
   if (mode_ == FsimMode::kWordParallel) {
-    // Word-parallel extras: the one-word value planes (dense order,
-    // mirroring good_dense/frame_vals) and the per-frame X-free flags.
-    // The flag scans the FULL frame, not just cone nodes: off-cone
-    // reads (off_cone_value, captured D nets, carried/final state) may
-    // touch any net, and flop outputs are frame values, so an X-free
-    // frame also certifies the state words the frame reads and writes.
-    scratch_.good_v.resize(frames);
-    scratch_.frame_v.resize(frames);
+    // Word-parallel extras: the one-word value plane and the per-frame
+    // X-free flags. The flag scans the FULL frame, not just cone nodes:
+    // off-cone reads (off_cone_value, captured D nets, carried/final
+    // state) may touch any net, and flop outputs are frame values, so
+    // an X-free frame also certifies the state words the frame reads
+    // and writes.
+    std::get<ValuePlane<uint64_t>>(scratch_.planes).prime(*cur_prog_,
+                                                     good_);
     scratch_.frame_xfree.resize(frames);
     for (size_t f = 0; f < frames; ++f) {
-      const std::vector<Val64>& frame = good_.frames[f];
       uint64_t any_x = 0;
-      for (const Val64& v : frame) any_x |= v.x;
+      for (const Val64& v : good_.frames[f]) any_x |= v.x;
       scratch_.frame_xfree[f] = any_x == 0;
-
-      const FrameProgram& fp = cur_prog_->frames[f];
-      auto& gv = scratch_.good_v[f];
-      gv.resize(fp.num_nodes);
-      const auto& gd = scratch_.good_dense[f];
-      for (uint32_t n = 0; n < fp.num_nodes; ++n) gv[n] = gd[n].v;
-      scratch_.frame_v[f] = gv;
     }
   }
 }
@@ -357,28 +406,27 @@ void NcpFaultSim::propagate_frame(GateId site_gate, uint8_t site_pin,
   }
 }
 
+template <class P>
 void NcpFaultSim::propagate_frame_compiled(
     GateId site_gate, uint8_t site_pin, uint64_t inj_mask,
     uint64_t forced_v, const std::vector<StateDiff>& in_state,
     std::vector<StateDiff>* out_state, uint64_t* hard_po,
     uint64_t* poss_po, FsimWork* work) {
-  ++epoch_;
-  const uint32_t ep = epoch_;
+  const uint32_t ep = ++epoch_;
   const FrameProgram& fp = cur_prog_->frames[cur_frame_];
-  const Val64* goodd = scratch_.good_dense[cur_frame_].data();
-  Val64* vals = scratch_.frame_vals[cur_frame_].data();
+  ValuePlane<P>& plane = std::get<ValuePlane<P>>(scratch_.planes);
+  const P* goodd = plane.good[cur_frame_].data();
+  P* vals = plane.arena[cur_frame_].data();
+  const std::vector<Val64>& good_frame = good_.frames[cur_frame_];
   const ConeNode* nodes = fp.nodes.data();
   uint64_t* active = scratch_.active.data();
   const auto& dffs = nl_->dffs();
   auto& touched = scratch_.touched;
   cand_dffs_.clear();
 
-  // The arena holds the frame's good values between passes; every write
-  // records its node so the pass can restore them on the way out
-  // (duplicate entries are fine -- restoring twice is idempotent). This
-  // is what makes the operand gather below one contiguous load and
-  // `new == previous` an exact skip condition, with no epoch stamps.
-  auto write_val = [&](uint32_t node, Val64 v) {
+  // Every arena write records its node for the restore on the way out
+  // (duplicate entries are fine -- restoring twice is idempotent).
+  auto write_val = [&](uint32_t node, P v) {
     vals[node] = v;
     touched.push_back(node);
   };
@@ -387,7 +435,7 @@ void NcpFaultSim::propagate_frame_compiled(
   // state (the carried corruption rides along, observable or not --
   // exactly like the interpreter, which stamps the global overlay).
   // The forced word is kept here for the capture pass's reads.
-  Val64 off_cone_site{};
+  P off_cone_site{};
   bool site_stem_off_cone = false;
 
   // Replay-program equivalents of the interpreted engine's enqueue /
@@ -402,74 +450,57 @@ void NcpFaultSim::propagate_frame_compiled(
     wlo = std::min(wlo, word);
     whi = std::max(whi, word);
   };
-  auto activate_fanouts = [&](uint32_t node) {
+  auto add_cand = [&](uint32_t pos) {
+    if (cand_stamp_[pos] != ep) {
+      cand_stamp_[pos] = ep;
+      cand_dffs_.push_back(pos);
+    }
+  };
+  // A node now differing from good: activate its readers, collect its
+  // capturing flops.
+  auto spread = [&](uint32_t node) {
     for (uint32_t k = nodes[node].fanout_begin;
          k < nodes[node + 1].fanout_begin; ++k) {
       activate(fp.fanout[k]);
     }
-  };
-  auto add_cands = [&](uint32_t node) {
     for (uint32_t k = nodes[node].dfeed_begin;
          k < nodes[node + 1].dfeed_begin; ++k) {
-      const uint32_t pos = fp.dfeed[k];
-      if (cand_stamp_[pos] != ep) {
-        cand_stamp_[pos] = ep;
-        cand_dffs_.push_back(pos);
-      }
+      add_cand(fp.dfeed[k]);
     }
   };
-  auto add_cands_off_cone = [&](GateId g) {
-    for (uint32_t pos : d_feeds_[g]) {
-      if (!fp.dff_pulsed[pos]) continue;
-      if (cand_stamp_[pos] != ep) {
-        cand_stamp_[pos] = ep;
-        cand_dffs_.push_back(pos);
+  // Writes a seed value; a difference against good activates its
+  // readers (in-cone) or its pulsed capturing flops (off-cone).
+  auto seed = [&](GateId g, P v) {
+    const bool d = differs(v, from_val64<P>(good_frame[g])) != 0;
+    const int32_t dn = fp.dense_of[g];
+    if (dn >= 0) {
+      write_val(static_cast<uint32_t>(dn), v);
+      if (d) spread(static_cast<uint32_t>(dn));
+    } else if (d) {
+      for (uint32_t pos : d_feeds_[g]) {
+        if (fp.dff_pulsed[pos]) add_cand(pos);
       }
     }
+    return dn;
   };
 
   // Seeds: corrupted flop outputs from the previous pulse.
   for (const StateDiff& sd : in_state) {
-    const GateId ff = dffs[sd.dff_pos];
-    const Val64 gv = good_.frames[cur_frame_][ff];
-    const bool differs =
-        (hard_diff(sd.faulty, gv) | possible_diff(sd.faulty, gv)) != 0;
-    const int32_t dn = fp.dense_of[ff];
-    if (dn >= 0) {
-      write_val(static_cast<uint32_t>(dn), sd.faulty);
-      if (differs) {
-        activate_fanouts(static_cast<uint32_t>(dn));
-        add_cands(static_cast<uint32_t>(dn));
-      }
-    } else if (differs) {
-      add_cands_off_cone(ff);
-    }
+    seed(dffs[sd.dff_pos], from_val64<P>(sd.faulty));
   }
 
   // Seed: fault injection site.
   int32_t site_dense = -1;
   if (inj_mask != 0) {
     if (site_pin == kOutputPin) {
-      site_dense = fp.dense_of[site_gate];
-      const Val64 g = site_dense >= 0
-                          ? vals[site_dense]
-                          : off_cone_value(site_gate, in_state);
-      Val64 forced;
-      forced.v = (g.v & ~inj_mask) | forced_v;
-      forced.x = g.x & ~inj_mask;
-      const Val64 gv = good_.frames[cur_frame_][site_gate];
-      const bool differs =
-          (hard_diff(forced, gv) | possible_diff(forced, gv)) != 0;
-      if (site_dense >= 0) {
-        write_val(static_cast<uint32_t>(site_dense), forced);
-        if (differs) {
-          activate_fanouts(static_cast<uint32_t>(site_dense));
-          add_cands(static_cast<uint32_t>(site_dense));
-        }
-      } else {
+      const int32_t dn = fp.dense_of[site_gate];
+      const P g = dn >= 0 ? vals[dn]
+                          : from_val64<P>(off_cone_value(site_gate, in_state));
+      const P forced = force(g, inj_mask, forced_v);
+      site_dense = seed(site_gate, forced);
+      if (site_dense < 0) {
         off_cone_site = forced;
         site_stem_off_cone = true;
-        if (differs) add_cands_off_cone(site_gate);
       }
     } else if (!is_sequential(nl_->gate(site_gate).type)) {
       // Branch fault: re-evaluate only the faulted gate (if in-cone).
@@ -479,11 +510,7 @@ void NcpFaultSim::propagate_frame_compiled(
                site_pin == 0) {
       // Branch fault on a flop's D pin: the captured value is computed
       // at the capture pass below (forced from the D net's final value).
-      const uint32_t pos = static_cast<uint32_t>(dff_pos_[site_gate]);
-      if (cand_stamp_[pos] != ep) {
-        cand_stamp_[pos] = ep;
-        cand_dffs_.push_back(pos);
-      }
+      add_cand(static_cast<uint32_t>(dff_pos_[site_gate]));
     }
   }
 
@@ -492,7 +519,7 @@ void NcpFaultSim::propagate_frame_compiled(
   // bitset words visits every event in level order (the inner loop
   // re-reads its word to pick up same-word activations, and the word
   // bound `whi` grows as activations land past it).
-  Val64 ins[2];
+  Val64 gens[2];
   for (uint32_t wi = wlo; wi <= whi; ++wi) {
     while (uint64_t w = active[wi]) {
       const uint32_t bit = static_cast<uint32_t>(std::countr_zero(w));
@@ -501,77 +528,74 @@ void NcpFaultSim::propagate_frame_compiled(
       ++work->gate_evals;
 
       const ConeNode rec = nodes[node];
-      // Gather: inline operands for the dominant <= 2-input gates (the
-      // record itself carries them), pool indirection for the rest.
-      Val64* iv;
-      if (rec.nf <= 2) {
-        ins[0] = vals[rec.in0];
-        ins[1] = vals[rec.in1];  // unused for nf < 2 (in1 == 0 is safe)
-        iv = ins;
-      } else {
-        scratch_.wide_ins.resize(rec.nf);
-        for (uint32_t i = 0; i < rec.nf; ++i) {
-          scratch_.wide_ins[i] = vals[fp.fanin_pool[rec.in0 + i]];
-        }
-        iv = scratch_.wide_ins.data();
-      }
       const bool is_site =
           static_cast<int32_t>(node) == site_dense && inj_mask != 0;
-      if (is_site && site_pin != kOutputPin) [[unlikely]] {
-        Val64& pv = iv[site_pin];
-        pv.v = (pv.v & ~inj_mask) | forced_v;
-        pv.x = pv.x & ~inj_mask;
+      // Gather: inline operands for the dominant <= 2-input gates (the
+      // record itself carries them), pool indirection for the rest.
+      P in0{}, in1{};
+      if (rec.nf <= 2) {
+        in0 = vals[rec.in0];
+        in1 = vals[rec.in1];  // unused for nf < 2 (in1 == 0 is safe)
+        if (is_site && site_pin != kOutputPin) [[unlikely]] {
+          if (site_pin == 0) {
+            in0 = force(in0, inj_mask, forced_v);
+          } else {
+            in1 = force(in1, inj_mask, forced_v);
+          }
+        }
       }
       // Mask-driven evaluation classes (lowered at compile time): the
       // dominant 2-input cells evaluate branch-free, side-stepping the
       // per-event opcode mispredicts a GateType switch pays. The masks
       // sign-extend from 0x00/0xFF without a branch.
-      Val64 out;
+      const uint64_t mo = static_cast<uint64_t>(
+          static_cast<int64_t>(static_cast<int8_t>(rec.inv_out)));
+      P out;
       switch (rec.cls) {
         case ConeOpClass::kAnd2: {
           const uint64_t mi = static_cast<uint64_t>(
               static_cast<int64_t>(static_cast<int8_t>(rec.inv_in)));
-          const uint64_t mo = static_cast<uint64_t>(
-              static_cast<int64_t>(static_cast<int8_t>(rec.inv_out)));
-          const Val64 a{(iv[0].v ^ mi) & ~iv[0].x, iv[0].x};
-          const Val64 b{(iv[1].v ^ mi) & ~iv[1].x, iv[1].x};
-          const Val64 r = v_and(a, b);
-          out = {(r.v ^ mo) & ~r.x, r.x};
+          out = flip(and2(flip(in0, mi), flip(in1, mi)), mo);
           break;
         }
-        case ConeOpClass::kXor2: {
-          const uint64_t mo = static_cast<uint64_t>(
-              static_cast<int64_t>(static_cast<int8_t>(rec.inv_out)));
-          const Val64 r = v_xor(iv[0], iv[1]);
-          out = {(r.v ^ mo) & ~r.x, r.x};
+        case ConeOpClass::kXor2:
+          out = flip(xor2(in0, in1), mo);
+          break;
+        case ConeOpClass::kUnary:
+          out = flip(in0, mo);
+          break;
+        default: {
+          // Generic gates (rare: MUX and wide cells off the fast
+          // classes) go through the two-word evaluator.
+          Val64* iv = gens;
+          if (rec.nf <= 2) {
+            gens[0] = to_val64(in0);
+            gens[1] = to_val64(in1);
+          } else {
+            scratch_.wide_ins.resize(rec.nf);
+            iv = scratch_.wide_ins.data();
+            for (uint32_t i = 0; i < rec.nf; ++i) {
+              iv[i] = to_val64(vals[fp.fanin_pool[rec.in0 + i]]);
+            }
+            if (is_site && site_pin != kOutputPin) [[unlikely]] {
+              iv[site_pin] = force(iv[site_pin], inj_mask, forced_v);
+            }
+          }
+          out = from_val64<P>(
+              eval_gate_packed(static_cast<GateType>(rec.op), {iv, rec.nf}));
           break;
         }
-        case ConeOpClass::kUnary: {
-          const uint64_t mo = static_cast<uint64_t>(
-              static_cast<int64_t>(static_cast<int8_t>(rec.inv_out)));
-          out = {(iv[0].v ^ mo) & ~iv[0].x, iv[0].x};
-          break;
-        }
-        default:
-          out = eval_gate_packed(static_cast<GateType>(rec.op),
-                                 {iv, rec.nf});
-          break;
       }
       if (is_site && site_pin == kOutputPin) [[unlikely]] {
-        out.v = (out.v & ~inj_mask) | forced_v;
-        out.x = out.x & ~inj_mask;
+        out = force(out, inj_mask, forced_v);
       }
       // Write-through arena: the node holds its previous value (good if
       // untouched), so an unchanged result is exactly the interpreted
       // engine's early return.
-      const Val64 prev = vals[node];
-      if (out == prev) continue;
+      if (out == vals[node]) continue;
       write_val(node, out);
-      const Val64 gv = goodd[node];
-      if (hard_diff(out, gv) | possible_diff(out, gv)) {
-        activate_fanouts(node);
-        add_cands(node);
-      }
+      const P gv = goodd[node];
+      if (differs(out, gv)) spread(node);
       if (rec.po_probe) {
         *hard_po |= hard_diff(out, gv);
         *poss_po |= possible_diff(out, gv);
@@ -595,262 +619,25 @@ void NcpFaultSim::propagate_frame_compiled(
     if (!fp.dff_pulsed[pos]) continue;
     const GateId d = dff_d_[pos];
     const int32_t dn = fp.dense_of[d];
-    Val64 fd;
+    P fd;
     if (dn >= 0) {
       fd = vals[dn];
     } else if (site_stem_off_cone && d == site_gate) {
       fd = off_cone_site;
     } else {
-      fd = off_cone_value(d, in_state);
+      fd = from_val64<P>(off_cone_value(d, in_state));
     }
     // Branch fault directly on this flop's D pin.
     if (dffs[pos] == site_gate && site_pin == 0 && inj_mask != 0) {
-      fd.v = (fd.v & ~inj_mask) | forced_v;
-      fd.x = fd.x & ~inj_mask;
+      fd = force(fd, inj_mask, forced_v);
     }
-    if (hard_diff(fd, next_state[pos]) | possible_diff(fd, next_state[pos])) {
-      out_state->push_back({pos, fd});
+    if (differs(fd, from_val64<P>(next_state[pos]))) {
+      out_state->push_back({pos, to_val64(fd)});
     }
   }
 
   // Restore the arena to the frame's good values for the next pass.
   for (const uint32_t node : touched) vals[node] = goodd[node];
-  touched.clear();
-}
-
-void NcpFaultSim::propagate_frame_word(
-    GateId site_gate, uint8_t site_pin, uint64_t inj_mask,
-    uint64_t forced_v, const std::vector<StateDiff>& in_state,
-    std::vector<StateDiff>* out_state, uint64_t* hard_po,
-    FsimWork* work) {
-  // The compiled sweep with the x plane compiled away. Precondition
-  // (caller-checked): the frame's good machine and all in_state words
-  // are X-free, so every overlay value is X-free too (gate functions
-  // map known inputs to known outputs; injections force known bits and
-  // keep the X-free rest). Differences are then bare XORs, possible
-  // differences identically zero, and the `out == prev` skip condition
-  // coincides with Val64 equality -- the activation schedule, and with
-  // it both work counters, match propagate_frame_compiled bit for bit.
-  ++epoch_;
-  const uint32_t ep = epoch_;
-  const FrameProgram& fp = cur_prog_->frames[cur_frame_];
-  const uint64_t* goodv = scratch_.good_v[cur_frame_].data();
-  uint64_t* vals = scratch_.frame_v[cur_frame_].data();
-  const ConeNode* nodes = fp.nodes.data();
-  uint64_t* active = scratch_.active.data();
-  const auto& dffs = nl_->dffs();
-  auto& touched = scratch_.touched;
-  cand_dffs_.clear();
-
-  auto write_val = [&](uint32_t node, uint64_t v) {
-    vals[node] = v;
-    touched.push_back(node);
-  };
-
-  uint64_t off_cone_site = 0;
-  bool site_stem_off_cone = false;
-
-  uint32_t wlo = 0xFFFFFFFFu, whi = 0;
-  auto activate = [&](uint32_t node) {
-    ++work->events_processed;
-    const uint32_t word = node >> 6;
-    active[word] |= 1ull << (node & 63);
-    wlo = std::min(wlo, word);
-    whi = std::max(whi, word);
-  };
-  auto activate_fanouts = [&](uint32_t node) {
-    for (uint32_t k = nodes[node].fanout_begin;
-         k < nodes[node + 1].fanout_begin; ++k) {
-      activate(fp.fanout[k]);
-    }
-  };
-  auto add_cands = [&](uint32_t node) {
-    for (uint32_t k = nodes[node].dfeed_begin;
-         k < nodes[node + 1].dfeed_begin; ++k) {
-      const uint32_t pos = fp.dfeed[k];
-      if (cand_stamp_[pos] != ep) {
-        cand_stamp_[pos] = ep;
-        cand_dffs_.push_back(pos);
-      }
-    }
-  };
-  auto add_cands_off_cone = [&](GateId g) {
-    for (uint32_t pos : d_feeds_[g]) {
-      if (!fp.dff_pulsed[pos]) continue;
-      if (cand_stamp_[pos] != ep) {
-        cand_stamp_[pos] = ep;
-        cand_dffs_.push_back(pos);
-      }
-    }
-  };
-
-  // Seeds: corrupted flop outputs from the previous pulse.
-  for (const StateDiff& sd : in_state) {
-    const GateId ff = dffs[sd.dff_pos];
-    const bool differs =
-        sd.faulty.v != good_.frames[cur_frame_][ff].v;
-    const int32_t dn = fp.dense_of[ff];
-    if (dn >= 0) {
-      write_val(static_cast<uint32_t>(dn), sd.faulty.v);
-      if (differs) {
-        activate_fanouts(static_cast<uint32_t>(dn));
-        add_cands(static_cast<uint32_t>(dn));
-      }
-    } else if (differs) {
-      add_cands_off_cone(ff);
-    }
-  }
-
-  // Seed: fault injection site.
-  int32_t site_dense = -1;
-  if (inj_mask != 0) {
-    if (site_pin == kOutputPin) {
-      site_dense = fp.dense_of[site_gate];
-      const uint64_t g = site_dense >= 0
-                             ? vals[site_dense]
-                             : off_cone_value(site_gate, in_state).v;
-      const uint64_t forced = (g & ~inj_mask) | forced_v;
-      const bool differs =
-          forced != good_.frames[cur_frame_][site_gate].v;
-      if (site_dense >= 0) {
-        write_val(static_cast<uint32_t>(site_dense), forced);
-        if (differs) {
-          activate_fanouts(static_cast<uint32_t>(site_dense));
-          add_cands(static_cast<uint32_t>(site_dense));
-        }
-      } else {
-        off_cone_site = forced;
-        site_stem_off_cone = true;
-        if (differs) add_cands_off_cone(site_gate);
-      }
-    } else if (!is_sequential(nl_->gate(site_gate).type)) {
-      site_dense = fp.dense_of[site_gate];
-      if (site_dense >= 0) activate(static_cast<uint32_t>(site_dense));
-    } else if (nl_->gate(site_gate).type == GateType::kDff &&
-               site_pin == 0) {
-      const uint32_t pos = static_cast<uint32_t>(dff_pos_[site_gate]);
-      if (cand_stamp_[pos] != ep) {
-        cand_stamp_[pos] = ep;
-        cand_dffs_.push_back(pos);
-      }
-    }
-  }
-
-  // Linear one-word sweep (see propagate_frame_compiled for the level-
-  // order argument; this loop is identical modulo the value plane).
-  Val64 gens[2];
-  for (uint32_t wi = wlo; wi <= whi; ++wi) {
-    while (uint64_t w = active[wi]) {
-      const uint32_t bit = static_cast<uint32_t>(std::countr_zero(w));
-      active[wi] = w & (w - 1);
-      const uint32_t node = (wi << 6) | bit;
-      ++work->gate_evals;
-
-      const ConeNode rec = nodes[node];
-      const bool is_site =
-          static_cast<int32_t>(node) == site_dense && inj_mask != 0;
-      uint64_t iv0 = 0, iv1 = 0;
-      if (rec.nf <= 2) {
-        iv0 = vals[rec.in0];
-        iv1 = vals[rec.in1];  // unused for nf < 2 (in1 == 0 is safe)
-        if (is_site && site_pin != kOutputPin) [[unlikely]] {
-          uint64_t& pv = site_pin == 0 ? iv0 : iv1;
-          pv = (pv & ~inj_mask) | forced_v;
-        }
-      }
-      uint64_t out;
-      switch (rec.cls) {
-        case ConeOpClass::kAnd2: {
-          const uint64_t mi = static_cast<uint64_t>(
-              static_cast<int64_t>(static_cast<int8_t>(rec.inv_in)));
-          const uint64_t mo = static_cast<uint64_t>(
-              static_cast<int64_t>(static_cast<int8_t>(rec.inv_out)));
-          out = ((iv0 ^ mi) & (iv1 ^ mi)) ^ mo;
-          break;
-        }
-        case ConeOpClass::kXor2: {
-          const uint64_t mo = static_cast<uint64_t>(
-              static_cast<int64_t>(static_cast<int8_t>(rec.inv_out)));
-          out = (iv0 ^ iv1) ^ mo;
-          break;
-        }
-        case ConeOpClass::kUnary: {
-          const uint64_t mo = static_cast<uint64_t>(
-              static_cast<int64_t>(static_cast<int8_t>(rec.inv_out)));
-          out = iv0 ^ mo;
-          break;
-        }
-        default: {
-          // Generic gates re-enter the two-word evaluator on zero-x
-          // temporaries (rare: MUX and wide cells off the fast classes).
-          Val64* iv;
-          if (rec.nf <= 2) {
-            gens[0] = Val64{iv0, 0};
-            gens[1] = Val64{iv1, 0};
-            iv = gens;
-          } else {
-            scratch_.wide_ins.resize(rec.nf);
-            for (uint32_t i = 0; i < rec.nf; ++i) {
-              scratch_.wide_ins[i] =
-                  Val64{vals[fp.fanin_pool[rec.in0 + i]], 0};
-            }
-            iv = scratch_.wide_ins.data();
-            if (is_site && site_pin != kOutputPin) [[unlikely]] {
-              uint64_t& pv = iv[site_pin].v;
-              pv = (pv & ~inj_mask) | forced_v;
-            }
-          }
-          out = eval_gate_packed(static_cast<GateType>(rec.op),
-                                 {iv, rec.nf})
-                    .v;
-          break;
-        }
-      }
-      if (is_site && site_pin == kOutputPin) [[unlikely]] {
-        out = (out & ~inj_mask) | forced_v;
-      }
-      const uint64_t prev = vals[node];
-      if (out == prev) continue;
-      write_val(node, out);
-      const uint64_t diff = out ^ goodv[node];
-      if (diff) {
-        activate_fanouts(node);
-        add_cands(node);
-      }
-      if (rec.po_probe) *hard_po |= diff;
-    }
-  }
-
-  // Next-frame corrupted state (carried words stay X-free: frame and
-  // in_state are, so captured D values and the good next state are
-  // too).
-  out_state->clear();
-  const auto& next_state = good_.state[cur_frame_ + 1];
-  for (const StateDiff& sd : in_state) {
-    if (!fp.dff_pulsed[sd.dff_pos]) out_state->push_back(sd);
-  }
-  for (const uint32_t pos : cand_dffs_) {
-    if (!fp.dff_pulsed[pos]) continue;
-    const GateId d = dff_d_[pos];
-    const int32_t dn = fp.dense_of[d];
-    uint64_t fd;
-    if (dn >= 0) {
-      fd = vals[dn];
-    } else if (site_stem_off_cone && d == site_gate) {
-      fd = off_cone_site;
-    } else {
-      fd = off_cone_value(d, in_state).v;
-    }
-    if (dffs[pos] == site_gate && site_pin == 0 && inj_mask != 0) {
-      fd = (fd & ~inj_mask) | forced_v;
-    }
-    if (fd != next_state[pos].v) {
-      out_state->push_back({pos, Val64{fd, 0}});
-    }
-  }
-
-  // Restore the arena to the frame's good values for the next pass.
-  for (const uint32_t node : touched) vals[node] = goodv[node];
   touched.clear();
 }
 
@@ -917,6 +704,19 @@ NcpFaultSim::simulate_sites(const Fault& a, const Fault* b,
   std::vector<StateDiff>* cur = &scratch_.state_a;
   std::vector<StateDiff>* nxt = &scratch_.state_b;
 
+  // The 64 lanes are independent, so observation words split exactly
+  // by injected-lane ownership into the unfrozen faults' masks.
+  const auto absorb = [&](uint64_t hard, uint64_t poss) {
+    if (!frozen_a) {
+      ra.hard |= hard & seen_a;
+      ra.poss |= poss & seen_a;
+    }
+    if (!frozen_b) {
+      rb.hard |= hard & seen_b;
+      rb.poss |= poss & seen_b;
+    }
+  };
+
   // Clears a frozen fault's lanes from the carried state corruption:
   // its verdict is final, so only the live partner's lanes still need
   // propagating (keeps a pair pass within the cost of two solo passes).
@@ -928,9 +728,7 @@ NcpFaultSim::simulate_sites(const Fault& a, const Fault* b,
       const Val64 g = gstate[sd.dff_pos];
       sd.faulty.v = (sd.faulty.v & ~lanes) | (g.v & lanes);
       sd.faulty.x = (sd.faulty.x & ~lanes) | (g.x & lanes);
-      if (hard_diff(sd.faulty, g) | possible_diff(sd.faulty, g)) {
-        (*state)[w++] = sd;
-      }
+      if (differs(sd.faulty, g)) (*state)[w++] = sd;
     }
     state->resize(w);
   };
@@ -974,11 +772,12 @@ NcpFaultSim::simulate_sites(const Fault& a, const Fault* b,
                               : (fault_value(a.type) ? inj : 0);
     uint64_t hard_po = 0, poss_po = 0;
     if (compiled_family()) {
-      // Word-parallel fast path: one-word kernel when the whole overlay
-      // is provably X-free -- the frame's good machine (full-frame flag
-      // from simulate_good) and the carried faulty state. A frame that
-      // sees X (power-up state, X fills) takes the two-word kernel;
-      // both produce identical results and counters.
+      // Word-parallel fast path: the kernel runs on the one-word plane
+      // when the whole overlay is provably X-free -- the frame's good
+      // machine (full-frame flag from simulate_good) and the carried
+      // faulty state. A frame that sees X (power-up state, X fills)
+      // runs on the 01X plane; both produce identical results and
+      // counters.
       bool xfree = mode_ == FsimMode::kWordParallel &&
                    scratch_.frame_xfree[k] != 0;
       if (xfree) {
@@ -990,30 +789,23 @@ NcpFaultSim::simulate_sites(const Fault& a, const Fault* b,
         }
       }
       if (xfree) {
-        propagate_frame_word(a.gate, a.pin, inj, forced_v, *cur, nxt,
-                             &hard_po, work);
+        propagate_frame_compiled<uint64_t>(a.gate, a.pin, inj, forced_v,
+                                           *cur, nxt, &hard_po, &poss_po,
+                                           work);
       } else {
-        propagate_frame_compiled(a.gate, a.pin, inj, forced_v, *cur, nxt,
-                                 &hard_po, &poss_po, work);
+        propagate_frame_compiled<Val64>(a.gate, a.pin, inj, forced_v, *cur,
+                                        nxt, &hard_po, &poss_po, work);
       }
     } else {
       propagate_frame(a.gate, a.pin, inj, forced_v, *cur, nxt, &hard_po,
                       &poss_po, work);
     }
-    // The 64 lanes are independent, so the frame's observation words
-    // split exactly by injected-lane ownership. A detected fault's
-    // masks freeze where a solo pass would have returned.
+    // A detected fault's masks freeze where a solo pass would have
+    // returned.
+    absorb(hard_po, poss_po);
     bool newly_frozen = false;
-    if (!frozen_a) {
-      ra.hard |= hard_po & seen_a;
-      ra.poss |= poss_po & seen_a;
-      if (ra.hard & live_mask) frozen_a = newly_frozen = true;
-    }
-    if (!frozen_b) {
-      rb.hard |= hard_po & seen_b;
-      rb.poss |= poss_po & seen_b;
-      if (rb.hard & live_mask) frozen_b = newly_frozen = true;
-    }
+    if (!frozen_a && (ra.hard & live_mask)) frozen_a = newly_frozen = true;
+    if (!frozen_b && (rb.hard & live_mask)) frozen_b = newly_frozen = true;
     std::swap(cur, nxt);
     if (frozen_a && frozen_b) break;
     if (newly_frozen) purge_lanes(cur, frozen_a ? seen_a : seen_b);
@@ -1025,16 +817,7 @@ NcpFaultSim::simulate_sites(const Fault& a, const Fault* b,
     for (const StateDiff& sd : *cur) {
       if (scan_pos_[sd.dff_pos] < 0) continue;  // non-scan: unobservable
       const Val64 g = good_.final_state[sd.dff_pos];
-      const uint64_t h = hard_diff(sd.faulty, g);
-      const uint64_t p = possible_diff(sd.faulty, g);
-      if (!frozen_a) {
-        ra.hard |= h & seen_a;
-        ra.poss |= p & seen_a;
-      }
-      if (!frozen_b) {
-        rb.hard |= h & seen_b;
-        rb.poss |= p & seen_b;
-      }
+      absorb(hard_diff(sd.faulty, g), possible_diff(sd.faulty, g));
     }
   }
   ra.hard &= live_mask;
@@ -1068,9 +851,11 @@ const std::vector<uint32_t>& NcpFaultSim::sim_partners(
 }
 
 FsimStats merge_fault_probes(
-    const std::vector<FaultProbe>& probes, FaultList& fl,
-    std::vector<std::pair<size_t, unsigned>>* detections) {
+    const std::vector<FaultProbe>& probes, const FsimWork& work,
+    FaultList& fl, std::vector<std::pair<size_t, unsigned>>* detections) {
   FsimStats st;
+  st.gate_evals = work.gate_evals;
+  st.events_processed = work.events_processed;
   for (size_t i = 0; i < fl.size(); ++i) {
     const FaultProbe& p = probes[i];
     if (!p.simulated) continue;
@@ -1091,46 +876,10 @@ FsimStats merge_fault_probes(
   return st;
 }
 
-FsimStats NcpFaultSim::detect_faults(
-    const PatternBatch& batch, FaultList& fl,
-    std::vector<std::pair<size_t, unsigned>>* detections) {
-  simulate_good(batch);
-  const uint64_t live = live_mask(batch);
-
-  // Probe in cone-locality order (cache warmth), merge in fault-index
-  // order: the walk order is invisible in every output. In cone modes an
-  // STR/STF pair at the same site is probed in one overlay pass.
-  FsimWork work;
-  const std::vector<uint32_t>& order = sim_order(fl);
-  const bool pair_mode = mode_ != FsimMode::kExhaustive;
-  probes_.assign(fl.size(), FaultProbe{});
-  for (const uint32_t i : order) {
-    FaultProbe& p = probes_[i];
-    if (p.simulated) continue;
-    if (!fsim_wants_simulation(fl.status(i))) continue;
-    const uint32_t j = pair_mode ? partners_[i] : kNoPartner;
-    if (j != kNoPartner && !probes_[j].simulated &&
-        fsim_wants_simulation(fl.status(j))) {
-      const auto [ma, mb] =
-          simulate_sites(fl.fault(i), &fl.fault(j), live, &work);
-      p = {ma.hard, ma.poss, true};
-      probes_[j] = {mb.hard, mb.poss, true};
-    } else {
-      const ProbeMasks m =
-          simulate_sites(fl.fault(i), nullptr, live, &work).first;
-      p = {m.hard, m.poss, true};
-    }
-  }
-
-  FsimStats st = merge_fault_probes(probes_, fl, detections);
-  st.gate_evals = work.gate_evals;
-  st.events_processed = work.events_processed;
-  return st;
-}
-
-FsimStats NcpFaultSim::detect_faults(
-    const PatternSet& ps, size_t first, size_t n, FaultList& fl,
-    std::vector<std::pair<size_t, unsigned>>* detections) {
+FsimStats detect_window(const PatternSet& ps, size_t first, size_t n,
+                        const Netlist& nl, const ClockingScheme& scheme,
+                        std::vector<std::pair<size_t, unsigned>>* detections,
+                        const BatchDetector& detect_batch) {
   OCC_CHECK(first + n <= ps.size(), "detect_faults: window out of range");
   FsimStats st;
   std::vector<std::pair<size_t, unsigned>> dets;
@@ -1138,20 +887,20 @@ FsimStats NcpFaultSim::detect_faults(
   const size_t end = first + n;
   while (i < end) {
     // Maximal same-NCP run, swept 64 lanes at a time. Fault dropping
-    // carries across the sweeps through `fl` itself.
+    // carries across the sweeps through the fault list itself.
     const uint32_t ncp = ps[i].ncp_index;
     size_t run_end = i + 1;
     while (run_end < end && ps[run_end].ncp_index == ncp) ++run_end;
     for (size_t b = i; b < run_end; b += 64) {
       const size_t cnt = std::min<size_t>(64, run_end - b);
       const PatternBatch batch =
-          pack_batch(ps, b, cnt, *nl_, scheme_->procedures[ncp]);
+          pack_batch(ps, b, cnt, nl, scheme.procedures[ncp]);
       if (detections == nullptr) {
-        st += detect_faults(batch, fl, nullptr);
+        st += detect_batch(batch, nullptr);
         continue;
       }
       dets.clear();
-      st += detect_faults(batch, fl, &dets);
+      st += detect_batch(batch, &dets);
       for (const auto& [fault, slot] : dets) {
         detections->emplace_back(
             fault, static_cast<unsigned>(b - first) + slot);
@@ -1160,6 +909,67 @@ FsimStats NcpFaultSim::detect_faults(
     i = run_end;
   }
   return st;
+}
+
+FsimWork NcpFaultSim::probe_faults(const FaultList& fl,
+                                   const std::vector<uint32_t>& order,
+                                   const std::vector<uint32_t>& partners,
+                                   size_t shard, size_t shards,
+                                   uint64_t live_mask,
+                                   std::vector<FaultProbe>* probes) {
+  // Faults are interleaved over the shards for load balance (collapsed
+  // fault lists cluster equivalent-cost faults), with an STR/STF pair
+  // always co-owned via its lower index so that, in cone modes, it is
+  // probed in one overlay pass. Only owned probe slots are written.
+  const bool pair_mode = mode_ != FsimMode::kExhaustive;
+  std::vector<FaultProbe>& pr = *probes;
+  FsimWork work;
+  for (const uint32_t i : order) {
+    const uint32_t j = partners[i];
+    if (shards > 1 &&
+        (j == kNoPartner ? i : std::min(i, j)) % shards != shard) {
+      continue;
+    }
+    FaultProbe& p = pr[i];
+    if (p.simulated || !fsim_wants_simulation(fl.status(i))) continue;
+    if (pair_mode && j != kNoPartner && !pr[j].simulated &&
+        fsim_wants_simulation(fl.status(j))) {
+      const auto [ma, mb] =
+          simulate_sites(fl.fault(i), &fl.fault(j), live_mask, &work);
+      p = {ma.hard, ma.poss, true};
+      pr[j] = {mb.hard, mb.poss, true};
+    } else {
+      const ProbeMasks m =
+          simulate_sites(fl.fault(i), nullptr, live_mask, &work).first;
+      p = {m.hard, m.poss, true};
+    }
+  }
+  return work;
+}
+
+FsimStats NcpFaultSim::detect_faults(
+    const PatternBatch& batch, FaultList& fl,
+    std::vector<std::pair<size_t, unsigned>>* detections) {
+  simulate_good(batch);
+  // Probe in cone-locality order (cache warmth), merge in fault-index
+  // order: the walk order is invisible in every output. Sequential
+  // simulation is the one-shard case of the sharded walk.
+  const std::vector<uint32_t>& order = sim_order(fl);
+  probes_.assign(fl.size(), FaultProbe{});
+  const FsimWork work = probe_faults(fl, order, partners_, 0, 1,
+                                     live_mask(batch), &probes_);
+  return merge_fault_probes(probes_, work, fl, detections);
+}
+
+FsimStats NcpFaultSim::detect_faults(
+    const PatternSet& ps, size_t first, size_t n, FaultList& fl,
+    std::vector<std::pair<size_t, unsigned>>* detections) {
+  return detect_window(
+      ps, first, n, *nl_, *scheme_, detections,
+      [&](const PatternBatch& batch,
+          std::vector<std::pair<size_t, unsigned>>* dets) {
+        return detect_faults(batch, fl, dets);
+      });
 }
 
 }  // namespace occ

@@ -23,30 +23,35 @@
 // bit-identical across all four execution strategies (FsimMode, declared
 // in fsim/options.h):
 //
-//   * kWordParallel (default): the compiled replay programs plus a
-//     one-word fast-path kernel for X-free work. A frame whose
-//     good machine carries no X anywhere -- and whose carried faulty
-//     state is X-free too -- propagates on a single uint64_t value
-//     plane per node (the x plane is identically zero, so hard
-//     difference is a bare XOR and possible difference vanishes);
-//     frames that do see X fall back to the two-word kernel below.
-//     Since the skip condition (new value == previous value) and the
-//     difference tests coincide exactly with the two-word ones on
-//     X-free data, statuses, detection slots AND the work counters are
-//     bit-identical to kCompiled.
+//   * kWordParallel (default): kCompiled, with every X-free frame run
+//     on the one-word value plane (below).
 //   * kCompiled: each frame's cone is lowered once per NCP into a dense
 //     SoA replay program (sim/cone_program.h); the overlay pass sweeps
 //     a per-level active bitset over cone-local dense ids and a compact
-//     scratch arena, never touching the global netlist. Work counters
-//     (gate_evals, events_processed) are bit-identical to the
-//     interpreted cone engine -- only wall time and cache traffic
-//     change.
+//     write-through arena, never touching the global netlist.
 //   * kConeLimited: the interpreted cone engine (levelized event queue
-//     over the global netlist); kept as the parity reference for the
-//     compiled path.
+//     over the global netlist); the independent reference the compiled
+//     kernel's work counters are checked against.
 //   * kExhaustive: full-fanout event propagation without cone masks;
 //     the original reference path, kept for parity tests and the
 //     work-reduction benchmark.
+//
+// Both compiled modes run ONE kernel, propagate_frame_compiled<P>,
+// templated on the value plane P. Val64 is the 01X plane (a value word
+// and an x word per net). uint64_t is the X-free plane, taken when the
+// frame's good machine carries no X anywhere and neither does the
+// carried faulty state: gate functions map known inputs to known
+// outputs and injections force known bits, so the overlay stays X-free,
+// the x word is dropped, hard difference is a bare XOR and possible
+// difference is identically zero. The plane supplies only the value
+// operations (operand load, force, difference masks, the lowered
+// evaluation classes, the eval_gate_packed fallback); seeds, candidate
+// collection, the sweep, the capture pass and the arena restore are
+// written once. On X-free data each uint64_t operation computes exactly
+// the v word of its Val64 form, so the skip condition (new value ==
+// previous value) and the difference tests coincide: both planes share
+// one activation schedule, hence identical statuses, detection slots
+// AND work counters -- equal to the interpreted engine's, too.
 //
 // Cone modes additionally propagate slow-to-rise/slow-to-fall partners
 // at the same site in ONE overlay pass: a pattern lane launches at most
@@ -57,16 +62,23 @@
 // (each fault's early-exit point is tracked per lane set). This roughly
 // halves transition fault-sim work on top of the cone limiting.
 //
+// The per-batch fault walk (cone-locality order, STR/STF pairing, the
+// fsim_wants_simulation filter) lives in probe_faults(); the sequential
+// detect_faults is its one-shard case and ShardedFaultSim runs it once
+// per shard. The window forms of both engines share detect_window().
+//
 // After warm-up (first batch of an NCP), detect_faults performs zero
-// heap allocations in the compiled default mode: all per-fault buffers
-// live in a reusable per-worker FsimScratch owned by this instance
-// (each ShardedFaultSim worker owns its own engine and therefore its
-// own scratch). tests/test_cone_program.cpp pins this with a global
-// allocation counter.
+// heap allocations in both compiled modes: all per-fault buffers live
+// in a reusable per-worker FsimScratch owned by this instance (each
+// ShardedFaultSim worker owns its own engine and therefore its own
+// scratch). tests/test_cone_program.cpp pins this with a global
+// allocation counter, on both value planes.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -167,10 +179,24 @@ struct FaultProbe {
 /// sequential and sharded engines (their bit-identical-results
 /// invariant lives here). `detections` gets (fault index,
 /// countr_zero(hard)) for each newly hard-detected fault. The returned
-/// stats carry no work counters; callers account work themselves.
+/// stats carry `work` as their work counters.
 FsimStats merge_fault_probes(
-    const std::vector<FaultProbe>& probes, FaultList& fl,
-    std::vector<std::pair<size_t, unsigned>>* detections);
+    const std::vector<FaultProbe>& probes, const FsimWork& work,
+    FaultList& fl, std::vector<std::pair<size_t, unsigned>>* detections);
+
+/// Grades one packed batch, appending (fault, slot) detections when
+/// given: the batch form of detect_faults.
+using BatchDetector = std::function<FsimStats(
+    const PatternBatch&, std::vector<std::pair<size_t, unsigned>>*)>;
+
+/// The window packer behind the window-form detect_faults of both
+/// engines: splits patterns [first, first + n) of `ps` into maximal
+/// same-NCP runs, packs each run 64 lanes at a time, grades every batch
+/// through `detect_batch` and rebases its detection slots onto `first`.
+FsimStats detect_window(const PatternSet& ps, size_t first, size_t n,
+                        const Netlist& nl, const ClockingScheme& scheme,
+                        std::vector<std::pair<size_t, unsigned>>* detections,
+                        const BatchDetector& detect_batch);
 
 class NcpFaultSim {
  public:
@@ -237,8 +263,8 @@ class NcpFaultSim {
   /// Simulates one fault against the last simulate_good() batch without
   /// touching any fault list: returns the (hard, possible) detection
   /// masks over `live_mask` slots and accumulates work counters into
-  /// `work`. This is the shard-safe primitive behind ShardedFaultSim --
-  /// it only mutates this instance's private scratch.
+  /// `work`. Like probe_faults, it only mutates this instance's private
+  /// scratch.
   std::pair<uint64_t, uint64_t> probe_fault(const Fault& f,
                                             uint64_t live_mask,
                                             FsimWork* work) {
@@ -267,6 +293,21 @@ class NcpFaultSim {
   /// same (gate, pin), or kNoPartner. Cached alongside sim_order().
   const std::vector<uint32_t>& sim_partners(const FaultList& fl);
 
+  /// The per-batch fault walk: probes every fault of `fl` that shard
+  /// `shard` of `shards` owns and that fsim_wants_simulation(), against
+  /// the last simulate_good() batch, into `probes` (indexed by fault,
+  /// sized to fl.size(), unsimulated on entry). Faults are walked in
+  /// `order` (sim_order) and interleaved over the shards, an STR/STF
+  /// pair (`partners`, sim_partners) co-owned by its lower index and,
+  /// outside kExhaustive, probed in one overlay pass. Writes only owned
+  /// slots, so shards may share `probes`; detect_faults is the
+  /// one-shard case. Returns the walk's work counters.
+  FsimWork probe_faults(const FaultList& fl,
+                        const std::vector<uint32_t>& order,
+                        const std::vector<uint32_t>& partners, size_t shard,
+                        size_t shards, uint64_t live_mask,
+                        std::vector<FaultProbe>* probes);
+
   /// Compiled replay program for procedure `ncp_index` (built on first
   /// use in compiled mode; exposed for structural tests).
   const ConeProgram& cone_program(size_t ncp_index);
@@ -288,39 +329,42 @@ class NcpFaultSim {
     Val64 faulty;
   };
 
+  /// One value plane of the compiled kernel: per frame, the good
+  /// values in dense-id order (read-only during overlay passes) and the
+  /// write-through overlay arena. The arena is primed with the good
+  /// values, corrupted during a fault pass and restored via
+  /// FsimScratch::touched afterwards. Keeping it always-good between
+  /// passes makes the operand gather one contiguous load and
+  /// `new == previous` an exact skip condition, with no epoch stamps.
+  template <class P>
+  struct ValuePlane {
+    std::vector<std::vector<P>> good;
+    std::vector<std::vector<P>> arena;
+    /// Packs `gf` into dense order and resets the arenas to it.
+    void prime(const ConeProgram& prog, const GoodFrames& gf);
+  };
+
   /// Reusable per-worker buffers: everything a single fault overlay
   /// pass writes lives here (epoch-stamped, so nothing is cleared
   /// between faults). Sized at simulate_good time; after the first
   /// batch of an NCP the steady-state detect_faults loop allocates
   /// nothing.
   struct FsimScratch {
-    // Good-machine frame values packed into dense-id order (rebuilt per
-    // simulate_good; read-only during overlay passes).
-    std::vector<std::vector<Val64>> good_dense;
-    // Write-through overlay arena, one per frame: initialized to the
-    // frame's good values at simulate_good, temporarily corrupted
-    // during a fault pass, restored via `touched` afterwards. Keeping
-    // the arena always-good between passes makes the operand gather a
-    // single contiguous load (no stamp check, no good fallback), and
-    // makes `new == previous` an exact skip condition -- the compiled
-    // path needs no epoch stamps at all.
-    std::vector<std::vector<Val64>> frame_vals;
-    // Word-parallel value planes: the same two arenas with the x word
-    // stripped (good_v read-only, frame_v write-through, restored via
-    // the shared `touched` list). Only primed in kWordParallel mode.
-    std::vector<std::vector<uint64_t>> good_v, frame_v;
+    // The 01X plane (both compiled modes) and the X-free plane
+    // (kWordParallel only); std::get<ValuePlane<P>> picks one.
+    std::tuple<ValuePlane<Val64>, ValuePlane<uint64_t>> planes;
     // frame_xfree[f] != 0 iff the good machine carries no X anywhere in
     // frame f -- over ALL gates, not just cone nodes, because the
     // off-cone reads (off_cone_value, captured D nets, final state) may
     // touch any net. Gate functions map known inputs to known outputs,
     // so an X-free frame with X-free carried state keeps the whole
-    // overlay X-free: the precondition of the one-word kernel.
+    // overlay X-free: the precondition of the one-word plane.
     std::vector<uint8_t> frame_xfree;
     std::vector<uint32_t> touched;  // dense ids to restore (dups fine)
     std::vector<uint64_t> active;   // per-level active bitset words
     // Carried state corruption double-buffer.
     std::vector<StateDiff> state_a, state_b;
-    // Operand gather spill for gates with more than 8 fanins.
+    // Operand gather spill for wide gates.
     std::vector<Val64> wide_ins;
     // Per-frame injection lane masks of the fault (and its partner),
     // computed in one pass over the good frames per simulate_sites call
@@ -349,27 +393,18 @@ class NcpFaultSim {
                        std::vector<StateDiff>* out_state,
                        uint64_t* hard_po, uint64_t* poss_po,
                        FsimWork* work);
-  // Compiled engine: linear bitset sweep over the frame's replay
-  // program. Bit-identical results and work counters by construction
-  // (same activation conditions over the same pre-filtered edges).
+  // Compiled engine: one linear bitset sweep over the frame's replay
+  // program on value plane P -- Val64 (01X) or uint64_t (X-free frames;
+  // the caller checks the precondition). Bit-identical results and work
+  // counters to propagate_frame on either plane (same activation
+  // conditions over the same pre-filtered edges).
+  template <class P>
   void propagate_frame_compiled(GateId site_gate, uint8_t site_pin,
                                 uint64_t inj_mask, uint64_t forced_v,
                                 const std::vector<StateDiff>& in_state,
                                 std::vector<StateDiff>* out_state,
                                 uint64_t* hard_po, uint64_t* poss_po,
                                 FsimWork* work);
-  // Word-parallel engine: the compiled sweep on the one-word value
-  // plane. Precondition: the frame's good machine and every in_state
-  // word are X-free (checked by the caller; falls back to the two-word
-  // kernel otherwise). On X-free data hard difference degenerates to
-  // XOR, possible difference to zero, and the skip condition to value
-  // equality -- the same activation schedule as the two-word kernel,
-  // hence bit-identical results AND work counters.
-  void propagate_frame_word(GateId site_gate, uint8_t site_pin,
-                            uint64_t inj_mask, uint64_t forced_v,
-                            const std::vector<StateDiff>& in_state,
-                            std::vector<StateDiff>* out_state,
-                            uint64_t* hard_po, FsimWork* work);
   // Faulty value of a net with no dense id this frame: only carried
   // flop corruption (or a stem injection, handled by the caller) can
   // make it differ from good.

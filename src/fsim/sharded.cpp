@@ -1,10 +1,6 @@
 #include "fsim/sharded.h"
 
-#include <algorithm>
-#include <bit>
 #include <thread>
-
-#include "util/check.h"
 
 namespace occ {
 
@@ -39,91 +35,37 @@ FsimStats ShardedFaultSim::detect_faults(
   const size_t n = sims_.size();
   const uint64_t live = NcpFaultSim::live_mask(batch);
   probes_.assign(fl.size(), FaultProbe{});
-  work_.assign(fl.size(), FsimWork{});
+  work_.assign(n, FsimWork{});
 
   // Shared cone-locality walk order and STR/STF partner map (computed
   // once, read-only for the workers; shard 0's cache is authoritative).
   const std::vector<uint32_t>& order = sims_[0]->sim_order(fl);
   const std::vector<uint32_t>& partners = sims_[0]->sim_partners(fl);
-  const bool pair_mode = mode() != FsimMode::kExhaustive;
 
-  // Fan out: faults are interleaved over the shards for load balance
-  // (collapsed fault lists cluster equivalent-cost faults), with an
-  // STR/STF pair always co-owned via its lower index so it can be
-  // probed in one overlay pass; each shard walks its subset in
-  // cone-locality order. Shards only read the fault list and write
-  // disjoint probe slots, so the merge below reproduces the sequential
-  // detect_faults result exactly.
-  const auto owner = [&](uint32_t i) {
-    const uint32_t j = partners[i];
-    const uint32_t group = j == NcpFaultSim::kNoPartner ? i : std::min(i, j);
-    return group % n;
-  };
+  // Fan out: every shard runs the sequential fault walk over the faults
+  // it owns. Shards only read the fault list and write disjoint probe
+  // slots, so the merge below reproduces the sequential detect_faults
+  // result exactly.
   pool_->run([&](size_t s) {
-    NcpFaultSim& sim = *sims_[s];
-    sim.simulate_good(batch);
-    for (const uint32_t i : order) {
-      if (owner(i) != s) continue;
-      FaultProbe& p = probes_[i];
-      if (p.simulated) continue;
-      if (!fsim_wants_simulation(fl.status(i))) continue;
-      const uint32_t j =
-          pair_mode ? partners[i] : NcpFaultSim::kNoPartner;
-      if (j != NcpFaultSim::kNoPartner && !probes_[j].simulated &&
-          fsim_wants_simulation(fl.status(j))) {
-        const auto [ma, mb] = sim.probe_fault_pair(fl.fault(i), fl.fault(j),
-                                                   live, &work_[i]);
-        p = {ma.hard, ma.poss, true};
-        probes_[j] = {mb.hard, mb.poss, true};
-      } else {
-        auto [hard, poss] = sim.probe_fault(fl.fault(i), live, &work_[i]);
-        p = {hard, poss, true};
-      }
-    }
+    sims_[s]->simulate_good(batch);
+    work_[s] = sims_[s]->probe_faults(fl, order, partners, s, n, live,
+                                      &probes_);
   });
 
-  // Merge in fault-index order via the canonical walk shared with the
-  // sequential engine, fed from the precomputed probes.
-  FsimStats st = merge_fault_probes(probes_, fl, detections);
   FsimWork total;
   for (const FsimWork& w : work_) total += w;
-  st.gate_evals = total.gate_evals;
-  st.events_processed = total.events_processed;
-  return st;
+  return merge_fault_probes(probes_, total, fl, detections);
 }
 
 FsimStats ShardedFaultSim::detect_faults(
     const PatternSet& ps, size_t first, size_t n, FaultList& fl,
     std::vector<std::pair<size_t, unsigned>>* detections) {
-  OCC_CHECK(first + n <= ps.size(), "detect_faults: window out of range");
-  const Netlist& nl = netlist();
-  const ClockingScheme& scheme = sims_[0]->scheme();
-  FsimStats st;
-  std::vector<std::pair<size_t, unsigned>> dets;
-  size_t i = first;
-  const size_t end = first + n;
-  while (i < end) {
-    const uint32_t ncp = ps[i].ncp_index;
-    size_t run_end = i + 1;
-    while (run_end < end && ps[run_end].ncp_index == ncp) ++run_end;
-    for (size_t b = i; b < run_end; b += 64) {
-      const size_t cnt = std::min<size_t>(64, run_end - b);
-      const PatternBatch batch =
-          pack_batch(ps, b, cnt, nl, scheme.procedures[ncp]);
-      if (detections == nullptr) {
-        st += detect_faults(batch, fl, nullptr);
-        continue;
-      }
-      dets.clear();
-      st += detect_faults(batch, fl, &dets);
-      for (const auto& [fault, slot] : dets) {
-        detections->emplace_back(
-            fault, static_cast<unsigned>(b - first) + slot);
-      }
-    }
-    i = run_end;
-  }
-  return st;
+  return detect_window(
+      ps, first, n, netlist(), sims_[0]->scheme(), detections,
+      [&](const PatternBatch& batch,
+          std::vector<std::pair<size_t, unsigned>>* dets) {
+        return detect_faults(batch, fl, dets);
+      });
 }
 
 }  // namespace occ

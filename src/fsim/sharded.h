@@ -11,9 +11,11 @@
 // lets run_atpg stay a thin wrapper over occ::Session regardless of the
 // session's thread setting (tests/test_api.cpp locks it in).
 //
-// Each shard walks its interleaved fault subset in the shared
+// Every shard runs the sequential engine's fault walk
+// (NcpFaultSim::probe_faults) over the faults it owns, in the shared
 // cone-locality order (fault/order.h), so consecutive probes inside a
-// shard touch overlapping fanout cones.
+// shard touch overlapping fanout cones. The window form shares
+// NcpFaultSim's packer (detect_window).
 #pragma once
 
 #include <memory>
@@ -76,7 +78,7 @@ class ShardedFaultSim {
   std::unique_ptr<ThreadPool> pool_;  // null when shards() == 1
   // Indexed by fault, reused per batch; shards write disjoint slots.
   std::vector<FaultProbe> probes_;
-  std::vector<FsimWork> work_;
+  std::vector<FsimWork> work_;  // one per shard, summed after the walk
 };
 
 }  // namespace occ

@@ -3,8 +3,9 @@
 // detection slots AND work counters against the interpreted cone
 // engine, across every scheme on generated SOCs and the committed
 // circuits/ corpus; structural invariants of the lowered programs; and
-// the allocation-free steady-state hot loop (global operator new
-// counter around a warmed-up detect_faults).
+// the allocation-free steady-state hot loop of both compiled modes and
+// value planes (global operator new counter around a warmed-up
+// detect_faults).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -66,22 +67,27 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace occ {
 namespace {
 
-Netlist test_soc(uint64_t seed) {
+/// Generated SOC; `full_scan` leaves no non-scan flop, so no flop
+/// powers up X and a fully specified batch simulates X-free.
+Netlist test_soc(uint64_t seed, bool full_scan = false) {
   gen::SocParams prm;
   prm.seed = seed;
   prm.flops = 80;
   prm.gates = 700;
   prm.pis = 12;
   prm.pos = 12;
+  if (full_scan) prm.nonscan_fraction = 0.0;
   Netlist nl = gen::generate_soc(prm);
   insert_scan(nl, {.num_chains = 3});
   return nl;
 }
 
 /// Random batch with X holes (loads and PIs) so parity covers
-/// three-valued propagation; mirrors tests/test_cone.cpp.
+/// three-valued propagation; mirrors tests/test_cone.cpp. Without
+/// `x_holes` the batch is fully specified.
 PatternBatch make_batch(const Netlist& nl, const ClockingScheme& s,
-                        uint32_t ncp, uint64_t seed, PatternSet* ps) {
+                        uint32_t ncp, uint64_t seed, PatternSet* ps,
+                        bool x_holes = true) {
   Rng rng(seed);
   const NamedCaptureProcedure& proc = s.procedures[ncp];
   for (int i = 0; i < 64; ++i) {
@@ -91,6 +97,10 @@ PatternBatch make_batch(const Netlist& nl, const ClockingScheme& s,
                        std::vector<V3>(nl.inputs().size(), V3::kX));
     p.load.assign(scan_cells(nl).size(), V3::kX);
     p.random_fill(proc, rng);
+    if (!x_holes) {
+      ps->add(std::move(p));
+      continue;
+    }
     for (auto& v : p.load) {
       if (rng.chance(0.15)) v = V3::kX;
     }
@@ -360,31 +370,58 @@ TEST(ConeProgramStructure, LoweringInvariants) {
   }
 }
 
-TEST(ConeProgramAllocations, SteadyStateHotLoopIsAllocationFree) {
-  const Netlist nl = test_soc(14);
+/// True iff any good-machine frame of the last simulated batch carries
+/// an X. With none, the word-parallel engine runs every frame on the
+/// one-word plane (the carried faulty state of an X-free batch is X-free
+/// too).
+bool good_frames_see_x(const NcpFaultSim& sim) {
+  for (const auto& frame : sim.good().frames) {
+    for (const Val64& v : frame) {
+      if (v.x != 0) return true;
+    }
+  }
+  return false;
+}
+
+/// Warms an engine of `mode` up on one batch, then runs an identical
+/// fresh fault list through the same hot loop: detect_faults must not
+/// touch the heap at all.
+void expect_allocation_free(FsimMode mode, bool x_holes) {
+  SCOPED_TRACE(std::string(fsim_mode_name(mode)) +
+               (x_holes ? " x-holes" : " fully-specified"));
+  // The fully specified batch runs on a full-scan SOC so that no
+  // power-up X keeps it off the one-word plane.
+  const Netlist nl = test_soc(14, /*full_scan=*/!x_holes);
   const ClockingScheme s = scheme_cpf_basic(nl.num_domains());
   const GateId se = nl.find("scan_en");
   PatternSet ps("x");
-  const PatternBatch b = make_batch(nl, s, 0, 99, &ps);
+  const PatternBatch b = make_batch(nl, s, 0, 99, &ps, x_holes);
 
-  NcpFaultSim sim(nl, s, se, FsimMode::kCompiled);
+  NcpFaultSim sim(nl, s, se, mode);
   sim.simulate_good(b);
+  ASSERT_EQ(good_frames_see_x(sim), x_holes);
 
   // Warm-up: builds the replay programs, sizes the scratch arena and
   // the per-fault buffers to this workload's high-water marks.
   FaultList warm = FaultList::build(nl, FaultModel::kTransition);
   sim.detect_faults(b, warm);
 
-  // Steady state: an identical fresh fault list through the same hot
-  // loop must not touch the heap at all.
   FaultList fl = FaultList::build(nl, FaultModel::kTransition);
   const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
   const FsimStats st = sim.detect_faults(b, fl);
   const uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u)
-      << "compiled-mode detect_faults allocated on a warmed-up engine";
+      << "detect_faults allocated on a warmed-up engine";
   EXPECT_GT(st.faults_simulated, 0u);
   EXPECT_GT(st.gate_evals, 0u);
+}
+
+// The default mode runs both kernel instantiations: the one-word plane
+// on a fully specified batch, the 01X plane on a batch with X holes.
+TEST(ConeProgramAllocations, SteadyStateHotLoopIsAllocationFree) {
+  expect_allocation_free(FsimMode::kCompiled, /*x_holes=*/true);
+  expect_allocation_free(FsimMode::kWordParallel, /*x_holes=*/false);
+  expect_allocation_free(FsimMode::kWordParallel, /*x_holes=*/true);
 }
 
 }  // namespace
