@@ -2,9 +2,12 @@
 """CI glue for the occ-bench-v1 reports (see README "Benchmarking").
 
 Subcommands:
-  merge OUT IN...          Merge driver reports into one report; metric
+  merge OUT [NAME=]IN...   Merge driver reports into one report; metric
                            and meta keys are namespaced by driver name
-                           ("engines.fsim_tf.cone.gate_evals", ...).
+                           ("engines.fsim_tf.cone.gate_evals", ...), or
+                           by NAME for an input given as NAME=PATH (two
+                           reports of one driver, e.g. two `occ run`s of
+                           one design under different engine flags).
   compare BASELINE CURRENT Compare a merged report against the committed
                            baseline. All metrics are lower-is-better.
                            Deterministic work metrics (everything except
@@ -48,6 +51,14 @@ def load(path):
     return doc
 
 
+def split_named_input(arg):
+    """NAME=PATH -> (NAME, PATH); a plain path -> (None, PATH)."""
+    name, sep, path = arg.partition("=")
+    if sep and name and path and "/" not in name:
+        return name, path
+    return None, arg
+
+
 def cmd_merge(args):
     merged = {
         "schema": "occ-bench-v1",
@@ -55,16 +66,18 @@ def cmd_merge(args):
         "meta": {},
         "metrics": {},
     }
-    for path in args.inputs:
+    for arg in args.inputs:
+        name, path = split_named_input(arg)
         doc = load(path)
-        prefix = doc.get("driver", "unknown").removeprefix("bench_")
+        prefix = name or doc.get("driver", "unknown").removeprefix("bench_")
         for section in ("meta", "metrics"):
             for key, value in doc.get(section, {}).items():
                 namespaced = f"{prefix}.{key}"
                 if namespaced in merged[section]:
                     sys.exit(f"{path}: duplicate {section} key "
-                             f"{namespaced} (two inputs share driver "
-                             f"'{doc.get('driver')}'?)")
+                             f"{namespaced} (two inputs share namespace "
+                             f"'{prefix}'; pass NAME=PATH to give one "
+                             f"its own)")
                 merged[section][namespaced] = value
     with open(args.out, "w") as f:
         json.dump(merged, f, indent=2)
@@ -217,7 +230,7 @@ def main():
 
     m = sub.add_parser("merge")
     m.add_argument("out")
-    m.add_argument("inputs", nargs="+")
+    m.add_argument("inputs", nargs="+", metavar="[NAME=]PATH")
     m.set_defaults(fn=cmd_merge)
 
     c = sub.add_parser("compare")

@@ -610,6 +610,11 @@ int write_json_report(const std::string& path) {
     meta.set("atpg.sat.proven_untestable", st.proven_untestable);
     meta.set("atpg.sat.still_aborted", st.still_aborted);
     meta.set("atpg.sat.solves", st.solves);
+    // Search-path pins: with conflicts (a metric above) these fix the
+    // solver's decisions and propagations exactly, not within a
+    // regression threshold (bench/engines_sat_reference.json).
+    meta.set("atpg.sat.decisions", st.decisions);
+    meta.set("atpg.sat.propagations", st.propagations);
     meta.set("atpg.sat.patterns", st.patterns);
     // Incremental-core health: relowered_faults must stay 0 (each
     // fault instance is lowered once under an activation literal).

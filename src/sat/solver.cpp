@@ -1,6 +1,7 @@
 #include "sat/solver.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/check.h"
 
@@ -30,7 +31,7 @@ CdclSolver::CdclSolver(const Cnf& cnf, SolverOptions opts)
     : opts_(opts), learned_ceiling_(opts.learned_limit) {
   const size_t n = cnf.num_vars;
   watches_.assign(2 * n, {});
-  assigns_.assign(n, -1);
+  vals_.assign(2 * n, 0);
   level_.assign(n, 0);
   reason_.assign(n, kNoReason);
   activity_.assign(n, 0.0);
@@ -41,15 +42,15 @@ CdclSolver::CdclSolver(const Cnf& cnf, SolverOptions opts)
   heap_.reserve(n);
   for (Var v = 0; v < n; ++v) heap_insert(v);
 
-  clauses_.reserve(cnf.clauses.size());
   for (const auto& orig : cnf.clauses) add_clause(orig);
 }
 
 Var CdclSolver::new_var() {
-  const Var v = static_cast<Var>(assigns_.size());
+  const Var v = static_cast<Var>(level_.size());
   watches_.emplace_back();
   watches_.emplace_back();
-  assigns_.push_back(-1);
+  vals_.push_back(0);
+  vals_.push_back(0);
   level_.push_back(0);
   reason_.push_back(kNoReason);
   activity_.push_back(0.0);
@@ -78,9 +79,9 @@ bool CdclSolver::add_clause(std::vector<Lit> c) {
   }
   size_t j = 0;
   for (const Lit l : c) {
-    OCC_CHECK(lit_var(l) < assigns_.size(),
+    OCC_CHECK(lit_var(l) < level_.size(),
               "sat: literal references variable ", lit_var(l),
-              " but the solver declares ", assigns_.size());
+              " but the solver declares ", level_.size());
     if (lit_true(l)) return true;  // satisfied at level 0
     if (!lit_false(l)) c[j++] = l;
   }
@@ -96,9 +97,7 @@ bool CdclSolver::add_clause(std::vector<Lit> c) {
     enqueue(c[0], kNoReason);
     return true;
   }
-  const ClauseRef cr = static_cast<ClauseRef>(clauses_.size());
-  clauses_.push_back(Clause{std::move(c), 0.0, 0, false});
-  attach_clause(cr);
+  attach_clause(alloc_clause(c, false));
   ++problem_clauses_;
   return true;
 }
@@ -124,24 +123,39 @@ bool CdclSolver::simplify() {
   // clause.
   for (const Lit l : trail_) reason_[lit_var(l)] = kNoReason;
 
-  // Compact problem clauses with a literal true at level 0 out of the
-  // clause vector, keeping the survivors' relative order.
-  std::vector<ClauseRef> remap(clauses_.size(), kNoReason);
-  ClauseRef kept = 0;
-  for (ClauseRef cr = 0; cr < clauses_.size(); ++cr) {
-    const Clause& c = clauses_[cr];
-    if (!c.learned &&
-        std::any_of(c.lits.begin(), c.lits.end(),
+  // Mark every problem clause with a literal true at level 0.
+  size_t removed = 0;
+  for (ClauseRef cr = 0; cr < arena_.size(); cr = clause_next(cr)) {
+    const Lit* c = clause_lits(cr);
+    if (!clause_learned(cr) &&
+        std::any_of(c, c + clause_size(cr),
                     [this](Lit l) { return lit_true(l); })) {
-      continue;
+      arena_[cr] |= kDeletedBit;
+      ++removed;
     }
-    remap[cr] = kept;
-    if (kept != cr) clauses_[kept] = std::move(clauses_[cr]);
-    ++kept;
   }
-  const size_t removed = clauses_.size() - kept;
   if (removed == 0) return true;
-  clauses_.resize(kept);
+
+  // Park each survivor's post-compaction offset in its birth word, so
+  // the watch lists can be remapped before the clauses move. Births are
+  // non-decreasing along the arena (clauses are appended in solve order
+  // and compaction keeps it), so the learned ones are saved as runs of
+  // equal birth rather than in a per-clause table.
+  std::vector<std::pair<uint32_t, uint32_t>> births;  // (birth, count)
+  ClauseRef to = 0;
+  for (ClauseRef cr = 0; cr < arena_.size(); cr = clause_next(cr)) {
+    if (arena_[cr] & kDeletedBit) continue;
+    if (clause_learned(cr)) {
+      const uint32_t birth = arena_[cr + kBirthWord];
+      OCC_DCHECK(births.empty() || births.back().first <= birth);
+      if (births.empty() || births.back().first != birth) {
+        births.emplace_back(birth, 0);
+      }
+      ++births.back().second;
+    }
+    arena_[cr + kBirthWord] = to;
+    to += kHeaderWords + clause_size(cr);
+  }
 
   // Compact every watch list in place, in order: a collected clause is
   // true at level 0 and never becomes unit or conflicting, so dropping
@@ -149,33 +163,92 @@ bool CdclSolver::simplify() {
   // -- and with it the search -- unchanged.
   for (auto& ws : watches_) {
     size_t j = 0;
-    for (const ClauseRef cr : ws) {
-      if (remap[cr] != kNoReason) ws[j++] = remap[cr];
+    for (const Watcher& w : ws) {
+      if (arena_[w.cr] & kDeletedBit) continue;
+      ws[j++] = Watcher{arena_[w.cr + kBirthWord], w.other};
     }
     ws.resize(j);
     if (j < ws.capacity() / 4) ws.shrink_to_fit();
   }
+
+  // Restore the birth words, then slide the survivors down.
+  size_t run = 0;
+  for (ClauseRef cr = 0; cr < arena_.size(); cr = clause_next(cr)) {
+    if (arena_[cr] & kDeletedBit) continue;
+    uint32_t birth = 0;
+    if (clause_learned(cr)) {
+      birth = births[run].first;
+      if (--births[run].second == 0) ++run;
+    }
+    arena_[cr + kBirthWord] = birth;
+  }
+  compact_arena();
   problem_clauses_ -= removed;
   stats_.clauses_collected += removed;
   return true;
 }
 
+CdclSolver::ClauseRef CdclSolver::alloc_clause(const std::vector<Lit>& lits,
+                                               bool learned) {
+  OCC_CHECK(arena_.size() + kHeaderWords + lits.size() < kNoReason &&
+                lits.size() < (size_t{1} << (32 - kSizeShift)),
+            "sat: clause arena exceeds 32-bit offsets");
+  const ClauseRef cr = static_cast<ClauseRef>(arena_.size());
+  arena_.push_back(static_cast<uint32_t>(lits.size()) << kSizeShift |
+                   (learned ? kLearnedBit : 0));
+  arena_.push_back(learned ? cur_solve_ : 0);
+  arena_.push_back(0);
+  arena_.push_back(0);
+  set_clause_act(cr, learned ? cla_inc_ : 0.0);
+  arena_.insert(arena_.end(), lits.begin(), lits.end());
+  return cr;
+}
+
+double CdclSolver::clause_act(ClauseRef cr) const {
+  double act = 0.0;
+  std::memcpy(&act, &arena_[cr + kActWord], sizeof act);
+  return act;
+}
+
+void CdclSolver::set_clause_act(ClauseRef cr, double act) {
+  std::memcpy(&arena_[cr + kActWord], &act, sizeof act);
+}
+
+void CdclSolver::compact_arena() {
+  ClauseRef to = 0;
+  for (ClauseRef cr = 0; cr < arena_.size();) {
+    const ClauseRef next = clause_next(cr);
+    if ((arena_[cr] & kDeletedBit) == 0) {
+      if (to != cr) {
+        std::copy(arena_.begin() + cr, arena_.begin() + next,
+                  arena_.begin() + to);
+      }
+      to += next - cr;
+    }
+    cr = next;
+  }
+  arena_.resize(to);
+  if (to < arena_.capacity() / 4) arena_.shrink_to_fit();
+}
+
 void CdclSolver::attach_clause(ClauseRef cr) {
-  const auto& c = clauses_[cr].lits;
-  watches_[c[0]].push_back(cr);
-  watches_[c[1]].push_back(cr);
+  const Lit* c = clause_lits(cr);
+  const bool binary = clause_size(cr) == 2;
+  watches_[c[0]].push_back(Watcher{cr, binary ? c[1] : kLitUndef});
+  watches_[c[1]].push_back(Watcher{cr, binary ? c[0] : kLitUndef});
 }
 
 void CdclSolver::enqueue(Lit l, ClauseRef reason) {
   const Var v = lit_var(l);
-  OCC_DCHECK(assigns_[v] < 0);
-  assigns_[v] = lit_sign(l) ? 0 : 1;
-  phase_[v] = assigns_[v] != 0;
+  OCC_DCHECK(vals_[l] == 0);
+  vals_[l] = 1;
+  vals_[lit_neg(l)] = -1;
+  phase_[v] = !lit_sign(l);
   level_[v] = static_cast<uint32_t>(trail_lim_.size());
   reason_[v] = reason;
-  if (reason != kNoReason) {
-    const Clause& rc = clauses_[reason];
-    if (rc.learned && rc.birth != cur_solve_) ++stats_.learned_reused;
+  if (reason != kNoReason && clause_learned(reason) &&
+      arena_[reason + kBirthWord] != cur_solve_) {
+    ++stats_.learned_reused;
   }
   trail_.push_back(l);
 }
@@ -184,39 +257,70 @@ CdclSolver::ClauseRef CdclSolver::propagate() {
   while (qhead_ < trail_.size()) {
     const Lit p = trail_[qhead_++];  // p just became true
     ++stats_.propagations;
-    auto& ws = watches_[lit_neg(p)];
-    size_t i = 0, j = 0;
-    while (i < ws.size()) {
-      const ClauseRef cr = ws[i++];
-      auto& c = clauses_[cr].lits;
-      const Lit false_lit = lit_neg(p);
-      if (c[0] == false_lit) std::swap(c[0], c[1]);
-      OCC_DCHECK(c[1] == false_lit);
-      if (lit_true(c[0])) {  // already satisfied
-        ws[j++] = cr;
+    const Lit false_lit = lit_neg(p);
+    std::vector<Watcher>& ws = watches_[false_lit];
+    Watcher* i = ws.data();
+    Watcher* j = i;
+    Watcher* const end = i + ws.size();
+    ClauseRef confl = kNoReason;
+    while (i != end) {
+      const Watcher w = *i++;
+      if (w.other != kLitUndef) {
+        // Binary clause: it never rewatches, so the partner is exact and
+        // a satisfied visit never touches the arena.
+        OCC_DCHECK(clause_size(w.cr) == 2 &&
+                   (clause_lits(w.cr)[0] ^ clause_lits(w.cr)[1] ^
+                    false_lit) == w.other);
+        *j++ = w;
+        if (lit_true(w.other)) continue;
+        Lit* c = clause_lits(w.cr);
+        c[0] = w.other;
+        c[1] = false_lit;
+        if (lit_false(w.other)) {
+          confl = w.cr;
+          break;
+        }
+        enqueue(w.other, w.cr);
         continue;
       }
+      Lit* c = clause_lits(w.cr);
+      OCC_DCHECK(c[0] == false_lit || c[1] == false_lit);
+      // The partner, read without reordering: a satisfied visit writes
+      // nothing, since the next visit puts false_lit in slot 1 anyway.
+      const Lit first = c[0] ^ c[1] ^ false_lit;
+      if (lit_true(first)) {
+        *j++ = w;
+        continue;
+      }
+      c[0] = first;
+      c[1] = false_lit;
+      const uint32_t size = clause_size(w.cr);
       bool rewatched = false;
-      for (size_t k = 2; k < c.size(); ++k) {
+      for (uint32_t k = 2; k < size; ++k) {
         if (!lit_false(c[k])) {
-          std::swap(c[1], c[k]);
-          watches_[c[1]].push_back(cr);
+          c[1] = c[k];
+          c[k] = false_lit;
+          watches_[c[1]].push_back(w);
           rewatched = true;
           break;
         }
       }
       if (rewatched) continue;
       // All but c[0] false: unit or conflict.
-      ws[j++] = cr;
-      if (lit_false(c[0])) {
-        while (i < ws.size()) ws[j++] = ws[i++];
-        ws.resize(j);
-        qhead_ = trail_.size();
-        return cr;
+      *j++ = w;
+      if (lit_false(first)) {
+        confl = w.cr;
+        break;
       }
-      enqueue(c[0], cr);
+      enqueue(first, w.cr);
     }
-    ws.resize(j);
+    if (confl != kNoReason) {
+      j = std::copy(i, end, j);
+      ws.resize(static_cast<size_t>(j - ws.data()));
+      qhead_ = trail_.size();
+      return confl;
+    }
+    ws.resize(static_cast<size_t>(j - ws.data()));
   }
   return kNoReason;
 }
@@ -233,9 +337,10 @@ void CdclSolver::analyze(ClauseRef confl, std::vector<Lit>* learnt,
   do {
     OCC_DCHECK(confl != kNoReason);
     cla_bump(confl);
-    const auto& c = clauses_[confl].lits;
+    const Lit* c = clause_lits(confl);
+    const uint32_t size = clause_size(confl);
     // For reason clauses c[0] is the implied literal (== p), skip it.
-    for (size_t k = (p == kLitUndef ? 0 : 1); k < c.size(); ++k) {
+    for (uint32_t k = (p == kLitUndef ? 0 : 1); k < size; ++k) {
       const Var v = lit_var(c[k]);
       if (seen_[v] || level_[v] == 0) continue;
       seen_[v] = 1;
@@ -282,8 +387,10 @@ void CdclSolver::cancel_until(uint32_t level) {
   if (trail_lim_.size() <= level) return;
   const size_t bound = trail_lim_[level];
   for (size_t i = trail_.size(); i > bound; --i) {
-    const Var v = lit_var(trail_[i - 1]);
-    assigns_[v] = -1;
+    const Lit l = trail_[i - 1];
+    const Var v = lit_var(l);
+    vals_[l] = 0;
+    vals_[lit_neg(l)] = 0;
     reason_[v] = kNoReason;
     if (heap_index_[v] < 0 && decision_[v]) heap_insert(v);
   }
@@ -295,7 +402,7 @@ void CdclSolver::cancel_until(uint32_t level) {
 Lit CdclSolver::pick_branch() {
   while (!heap_.empty()) {
     const Var v = heap_pop();
-    if (assigns_[v] < 0 && decision_[v]) return mk_lit(v, phase_[v] == 0);
+    if (var_unassigned(v) && decision_[v]) return mk_lit(v, phase_[v] == 0);
   }
   return kLitUndef;
 }
@@ -318,12 +425,12 @@ void CdclSolver::var_bump(Var v) {
 void CdclSolver::var_decay_all() { var_inc_ /= opts_.var_decay; }
 
 void CdclSolver::cla_bump(ClauseRef cr) {
-  Clause& c = clauses_[cr];
-  if (!c.learned) return;
-  c.act += cla_inc_;
-  if (c.act > 1e20) {
-    for (Clause& cl : clauses_) {
-      if (cl.learned) cl.act *= 1e-20;
+  if (!clause_learned(cr)) return;
+  const double act = clause_act(cr) + cla_inc_;
+  set_clause_act(cr, act);
+  if (act > 1e20) {
+    for (ClauseRef c = 0; c < arena_.size(); c = clause_next(c)) {
+      if (clause_learned(c)) set_clause_act(c, clause_act(c) * 1e-20);
     }
     cla_inc_ *= 1e-20;
   }
@@ -337,36 +444,30 @@ void CdclSolver::reduce_db() {
 
   // Candidates: learned non-binary clauses, ordered by (activity
   // ascending, insertion index descending) so the least useful and, on
-  // ties, the youngest go first. Drop half.
+  // ties, the youngest go first -- arena offsets grow in insertion
+  // order, so the offset is the insertion index. Drop half.
   std::vector<ClauseRef> cand;
   cand.reserve(learned_nonbinary_);
-  for (ClauseRef cr = 0; cr < clauses_.size(); ++cr) {
-    if (clauses_[cr].learned && clauses_[cr].lits.size() > 2) {
-      cand.push_back(cr);
-    }
+  for (ClauseRef cr = 0; cr < arena_.size(); cr = clause_next(cr)) {
+    if (clause_learned(cr) && clause_size(cr) > 2) cand.push_back(cr);
   }
   std::sort(cand.begin(), cand.end(), [this](ClauseRef a, ClauseRef b) {
-    if (clauses_[a].act != clauses_[b].act) {
-      return clauses_[a].act < clauses_[b].act;
-    }
+    const double act_a = clause_act(a), act_b = clause_act(b);
+    if (act_a != act_b) return act_a < act_b;
     return a > b;
   });
   const size_t drop = cand.size() / 2;
   if (drop == 0) return;
-  std::vector<uint8_t> remove(clauses_.size(), 0);
-  for (size_t i = 0; i < drop; ++i) remove[cand[i]] = 1;
+  for (size_t i = 0; i < drop; ++i) arena_[cand[i]] |= kDeletedBit;
 
-  // Compact the clause vector and rebuild every watch list; watch-list
-  // order after compaction is a function of clause insertion order
-  // only, so this stays deterministic.
-  std::vector<Clause> kept;
-  kept.reserve(clauses_.size() - drop);
-  for (ClauseRef cr = 0; cr < clauses_.size(); ++cr) {
-    if (!remove[cr]) kept.push_back(std::move(clauses_[cr]));
-  }
-  clauses_ = std::move(kept);
+  // Compact the arena and rebuild every watch list; watch-list order
+  // after compaction is a function of clause insertion order only, so
+  // this stays deterministic.
+  compact_arena();
   for (auto& ws : watches_) ws.clear();
-  for (ClauseRef cr = 0; cr < clauses_.size(); ++cr) attach_clause(cr);
+  for (ClauseRef cr = 0; cr < arena_.size(); cr = clause_next(cr)) {
+    attach_clause(cr);
+  }
 
   learned_count_ -= drop;
   learned_nonbinary_ -= drop;
@@ -441,14 +542,14 @@ SatResult CdclSolver::solve(const std::vector<Lit>& assumptions) {
 #ifndef NDEBUG
   // cancel_until() re-inserts every variable it unassigns, on every
   // exit path, so each unassigned decision variable is in the heap.
-  for (Var v = 0; v < assigns_.size(); ++v) {
-    OCC_DCHECK(assigns_[v] >= 0 || !decision_[v] || heap_index_[v] >= 0);
+  for (Var v = 0; v < level_.size(); ++v) {
+    OCC_DCHECK(!var_unassigned(v) || !decision_[v] || heap_index_[v] >= 0);
   }
 #endif
   for (const Lit a : assumptions) {
-    OCC_CHECK(lit_var(a) < assigns_.size(),
+    OCC_CHECK(lit_var(a) < level_.size(),
               "sat: assumption references variable ", lit_var(a),
-              " but the solver declares ", assigns_.size());
+              " but the solver declares ", level_.size());
   }
 
   // Level-0 facts queued by add_clause since the last solve.
@@ -476,8 +577,7 @@ SatResult CdclSolver::solve(const std::vector<Lit>& assumptions) {
       if (learnt.size() == 1) {
         enqueue(learnt[0], kNoReason);
       } else {
-        const ClauseRef cr = static_cast<ClauseRef>(clauses_.size());
-        clauses_.push_back(Clause{learnt, cla_inc_, cur_solve_, true});
+        const ClauseRef cr = alloc_clause(learnt, true);
         attach_clause(cr);
         enqueue(learnt[0], cr);
         ++learned_count_;
@@ -522,9 +622,9 @@ SatResult CdclSolver::solve(const std::vector<Lit>& assumptions) {
       if (next == kLitUndef) {
         next = pick_branch();
         if (next == kLitUndef) {
-          model_.assign(assigns_.size(), 0);
-          for (size_t v = 0; v < assigns_.size(); ++v) {
-            model_[v] = assigns_[v] == 1;
+          model_.assign(level_.size(), 0);
+          for (Var v = 0; v < level_.size(); ++v) {
+            model_[v] = lit_true(mk_lit(v));
           }
           cancel_until(0);
           return SatResult::kSat;
@@ -539,8 +639,10 @@ SatResult CdclSolver::solve(const std::vector<Lit>& assumptions) {
 
 std::vector<std::pair<Lit, Lit>> CdclSolver::learned_binaries() const {
   std::vector<std::pair<Lit, Lit>> out;
-  for (const Clause& c : clauses_) {
-    if (c.learned && c.lits.size() == 2) out.emplace_back(c.lits[0], c.lits[1]);
+  for (ClauseRef cr = 0; cr < arena_.size(); cr = clause_next(cr)) {
+    if (clause_learned(cr) && clause_size(cr) == 2) {
+      out.emplace_back(clause_lits(cr)[0], clause_lits(cr)[1]);
+    }
   }
   return out;
 }

@@ -24,12 +24,41 @@
 // The next decision is always the unassigned, unretired variable of
 // highest activity, ties toward the smaller variable index -- the heap
 // is re-heapified after every activity rescale, so this order never
-// depends on the heap's history or on which other variables it holds. Clause and watch traversal follow insertion order (simplify()
+// depends on the heap's history or on which other variables it holds.
+// Clause and watch traversal follow insertion order (simplify()
 // compacts in place and keeps it), database reduction orders by
 // (activity, insertion index), and no wall-clock, randomization or
 // address-order input exists -- so repeated runs (and runs on different
 // machines) produce identical models, conflict counts and learned
 // clauses.
+//
+// Storage (MiniSat layout, Een & Sorensson, SAT 2003): one flat
+// uint32_t arena holds every clause as a four-word header -- size and
+// learned flag, birth (the solve that learned it), activity (a double)
+// -- followed by the literals inline; a ClauseRef is the header's
+// offset. Offsets grow in insertion order and both compactions
+// (simplify, reduce_db) slide clauses down in place, in order, so the
+// offset doubles as the insertion index of reduce_db's tie-break and
+// of the order in which watch lists are rebuilt. Watchers are
+// {clause, other}: for a binary clause `other` is its partner literal,
+// for a longer one kLitUndef. A per-literal value array makes every
+// literal test one load.
+//
+// The propagation kernel makes the same decisions, conflicts, learned
+// clauses and models as the textbook loop that swaps the false literal
+// into slot 1 on every visit:
+//   - Binary clauses never rewatch, so `other` is never stale: a
+//     satisfied visit reads only the value array, and the clause is
+//     reordered (partner first) exactly when it becomes unit or
+//     conflicting -- the only moments the swap was ever read.
+//   - A longer clause's partner is read as c[0]^c[1]^false_lit, and a
+//     satisfied visit writes nothing. The swap it skips only fixes
+//     which of the two watched literals sits in slot 0; the next visit
+//     that is not satisfied makes the same swap before anything reads
+//     the order (analysis reads a clause only after it was found unit
+//     or conflicting), and literals at positions >= 2 move only on a
+//     rewatch. A blocker literal that can go stale (MiniSat's) would
+//     skip visits the textbook loop makes, and change the search.
 //
 // Retirement (the incremental miter's use, see sat/incremental.h): a
 // variable whose every clause is true at level 0 can never be implied
@@ -150,7 +179,8 @@ class CdclSolver {
   /// Problem (non-learned, non-unit) clauses currently in the database.
   size_t problem_clauses() const { return problem_clauses_; }
 
-  /// Retained learned binary clauses (a OR b), in creation order.
+  /// Retained learned binary clauses (a OR b), in creation order; the
+  /// order of the two literals within a pair carries no meaning.
   /// Binaries survive every database reduction, so this is the complete
   /// binary harvest of the solve history -- each is a logical
   /// consequence of the problem clauses alone (assumptions enter
@@ -158,33 +188,55 @@ class CdclSolver {
   std::vector<std::pair<Lit, Lit>> learned_binaries() const;
 
  private:
+  /// Offset of a clause's header in the arena.
   using ClauseRef = uint32_t;
   static constexpr ClauseRef kNoReason = 0xFFFFFFFFu;
 
-  struct Clause {
-    std::vector<Lit> lits;
-    double act = 0.0;      // reduction-ordering activity (learned only)
-    uint32_t birth = 0;    // solve index that learned it (0 = problem)
-    bool learned = false;
+  // Clause header words; the literals follow inline.
+  static constexpr uint32_t kHeaderWords = 4;
+  static constexpr uint32_t kLearnedBit = 1;  // word 0
+  static constexpr uint32_t kDeletedBit = 2;  // word 0, compaction mark
+  static constexpr uint32_t kSizeShift = 2;   // word 0: size << 2 | bits
+  static constexpr uint32_t kBirthWord = 1;   // solve that learned it
+  static constexpr uint32_t kActWord = 2;     // words 2-3: double
+
+  /// One watch-list entry. `other` is the partner literal of a binary
+  /// clause and kLitUndef for a longer one.
+  struct Watcher {
+    ClauseRef cr;
+    Lit other;
   };
 
-  bool lit_true(Lit l) const {
-    const int8_t a = assigns_[lit_var(l)];
-    return a >= 0 && (a != 0) != lit_sign(l);
+  uint32_t clause_size(ClauseRef cr) const {
+    return arena_[cr] >> kSizeShift;
   }
-  bool lit_false(Lit l) const {
-    const int8_t a = assigns_[lit_var(l)];
-    return a >= 0 && (a != 0) == lit_sign(l);
+  bool clause_learned(ClauseRef cr) const {
+    return (arena_[cr] & kLearnedBit) != 0;
   }
-  bool lit_unassigned(Lit l) const { return assigns_[lit_var(l)] < 0; }
+  Lit* clause_lits(ClauseRef cr) { return &arena_[cr + kHeaderWords]; }
+  const Lit* clause_lits(ClauseRef cr) const {
+    return &arena_[cr + kHeaderWords];
+  }
+  /// Offset of the clause after `cr` (arena walks run in order).
+  ClauseRef clause_next(ClauseRef cr) const {
+    return cr + kHeaderWords + clause_size(cr);
+  }
+  double clause_act(ClauseRef cr) const;
+  void set_clause_act(ClauseRef cr, double act);
 
+  bool lit_true(Lit l) const { return vals_[l] > 0; }
+  bool lit_false(Lit l) const { return vals_[l] < 0; }
+  bool var_unassigned(Var v) const { return vals_[mk_lit(v)] == 0; }
+
+  ClauseRef alloc_clause(const std::vector<Lit>& lits, bool learned);
+  void attach_clause(ClauseRef cr);
+  void compact_arena();  // slides unmarked clauses over marked ones
   void enqueue(Lit l, ClauseRef reason);
   ClauseRef propagate();  // returns conflicting clause or kNoReason
   void analyze(ClauseRef confl, std::vector<Lit>* learnt,
                uint32_t* out_btlevel);
   void cancel_until(uint32_t level);
   Lit pick_branch();  // kLitUndef when all vars assigned
-  void attach_clause(ClauseRef cr);
   void var_bump(Var v);
   void var_decay_all();
   void cla_bump(ClauseRef cr);
@@ -199,9 +251,9 @@ class CdclSolver {
   Var heap_pop();
 
   SolverOptions opts_;
-  std::vector<Clause> clauses_;  // problem + learned
-  std::vector<std::vector<ClauseRef>> watches_;  // per literal
-  std::vector<int8_t> assigns_;   // per var: -1 / 0 / 1
+  std::vector<uint32_t> arena_;  // every clause: header + literals
+  std::vector<std::vector<Watcher>> watches_;  // per literal
+  std::vector<int8_t> vals_;      // per literal: 1 true, -1 false, 0 unset
   std::vector<uint32_t> level_;   // per var: decision level
   std::vector<ClauseRef> reason_; // per var: implying clause
   std::vector<Lit> trail_;
@@ -219,8 +271,8 @@ class CdclSolver {
   std::vector<uint8_t> seen_;  // conflict-analysis scratch
   bool ok_ = true;             // false once UNSAT at level 0
 
-  size_t problem_clauses_ = 0;        // non-learned clauses in clauses_
-  size_t learned_count_ = 0;          // learned clauses in clauses_
+  size_t problem_clauses_ = 0;        // non-learned clauses in the arena
+  size_t learned_count_ = 0;          // learned clauses in the arena
   size_t learned_nonbinary_ = 0;      // reduction-eligible subset
   size_t learned_ceiling_ = 0;        // current reduction threshold
   uint32_t cur_solve_ = 0;            // solve index (for birth/reuse)

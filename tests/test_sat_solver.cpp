@@ -3,6 +3,7 @@
 // and unit-propagation reference checks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <vector>
 
@@ -42,7 +43,7 @@ Cnf random_cnf(Rng& rng, uint32_t num_vars, size_t num_clauses) {
   Cnf cnf;
   cnf.num_vars = num_vars;
   for (size_t c = 0; c < num_clauses; ++c) {
-    const size_t len = 1 + rng.below(4);
+    const size_t len = 2 + rng.below(3);
     std::vector<Lit> clause;
     for (size_t i = 0; i < len; ++i) {
       // Duplicate and complementary literals on purpose: the solver's
@@ -220,6 +221,117 @@ TEST(SatSolver, UnitPropagateAgreesWithCdclOnForcedFormulas) {
       if (val[v] >= 0) EXPECT_EQ(s.model()[v], val[v]) << "iter " << iter;
     }
   }
+}
+
+// Golden search path: a fixed, seeded multi-shot sequence shaped like
+// the incremental miter's use of the solver (sat/incremental.h) --
+// mixed binary and long clauses, solves under assumptions, add_clause
+// between solves, instances retired with retire_var() and collected
+// with simplify(), and a learned limit small enough that reduce_db()
+// runs several times. Every counter and the hash of every verdict and
+// model were recorded from the solver before its clause storage and
+// watch loop were rewritten; the rewrite must reproduce them exactly.
+// A change to the order in which propagation meets clauses, to the
+// literal order analysis reads, or to the reduction schedule moves at
+// least one of these numbers.
+TEST(SatSolver, GoldenMultiShotSearchPath) {
+  Rng rng(0x601de5u);
+  constexpr uint32_t kBaseVars = 120;
+  const auto random_lit = [&](uint32_t lo, uint32_t n) {
+    return mk_lit(lo + static_cast<Var>(rng.below(n)), rng.chance(0.5));
+  };
+  const auto random_clause = [&](size_t len, uint32_t lo, uint32_t n) {
+    std::vector<Lit> c;
+    for (size_t i = 0; i < len; ++i) c.push_back(random_lit(lo, n));
+    return c;
+  };
+  Cnf base;
+  base.num_vars = kBaseVars;
+  for (int i = 0; i < 20; ++i) base.add_clause(random_clause(2, 0, kBaseVars));
+  for (int i = 0; i < 470; ++i) {
+    base.add_clause(random_clause(3 + (rng.chance(0.2) ? 1 : 0), 0, kBaseVars));
+  }
+
+  SolverOptions opts;
+  opts.learned_limit = 16;
+  opts.restart_base = 8;
+  opts.conflict_budget = 300;
+  CdclSolver s(base, opts);
+
+  uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a over verdicts + models
+  const auto mix = [&](uint64_t x) {
+    hash ^= x;
+    hash *= 0x100000001b3ull;
+  };
+  size_t sat = 0, unsat = 0, unknown = 0;
+  for (int round = 0; round < 24; ++round) {
+    // One guarded instance: fresh variables whose clauses all carry the
+    // negated activation literal, solved under that activation.
+    const Var act = s.new_var();
+    const Var first = s.new_var();
+    constexpr uint32_t kInstVars = 10;
+    for (uint32_t k = 1; k < kInstVars; ++k) s.new_var();
+    for (int c = 0; c < 24; ++c) {
+      std::vector<Lit> clause{mk_lit(act, true)};
+      const size_t len = 2 + rng.below(3);
+      for (size_t i = 0; i < len; ++i) {
+        clause.push_back(rng.chance(0.5) ? random_lit(first, kInstVars)
+                                         : random_lit(0, kBaseVars));
+      }
+      s.add_clause(std::move(clause));
+    }
+    std::vector<Lit> assumptions{mk_lit(act)};
+    for (uint64_t i = rng.below(3); i > 0; --i) {
+      assumptions.push_back(random_lit(0, kBaseVars));
+    }
+    const SatResult r = s.solve(assumptions);
+    mix(static_cast<uint64_t>(r));
+    if (r == SatResult::kSat) {
+      ++sat;
+      for (const uint8_t v : s.model()) mix(v);
+    } else if (r == SatResult::kUnsat) {
+      ++unsat;
+    } else {
+      ++unknown;
+    }
+    // Between solves: a little more base formula, then retire the
+    // instance and, every third round, collect it.
+    s.add_clause(random_clause(3, 0, kBaseVars));
+    s.add_clause({mk_lit(act, true)});
+    s.retire_var(act);
+    for (uint32_t k = 0; k < kInstVars; ++k) s.retire_var(first + k);
+    if (round % 3 == 2) {
+      ASSERT_TRUE(s.simplify()) << "round " << round;
+    }
+  }
+  ASSERT_TRUE(s.ok());
+  // Learned binaries as unordered pairs: which binaries were learned is
+  // part of the search path, the orientation of their literals is not.
+  for (const auto& [a, b] : s.learned_binaries()) {
+    mix(std::min(a, b));
+    mix(std::max(a, b));
+  }
+
+  EXPECT_EQ(sat, 19u);
+  EXPECT_EQ(unsat, 2u);
+  EXPECT_EQ(unknown, 3u);
+  EXPECT_EQ(hash, 0xe2eaf2717f6c8c10ull);
+  const SolverStats& st = s.stats();
+  EXPECT_EQ(st.conflicts, 2869u);
+  EXPECT_EQ(st.decisions, 5189u);
+  EXPECT_EQ(st.propagations, 89261u);
+  EXPECT_EQ(st.restarts, 193u);
+  EXPECT_EQ(st.learned_clauses, 2869u);
+  EXPECT_EQ(st.learned_literals, 33042u);
+  EXPECT_EQ(st.solves, 24u);
+  EXPECT_EQ(st.assumption_solves, 24u);
+  EXPECT_EQ(st.learned_reused, 7158u);
+  EXPECT_EQ(st.db_reductions, 12u);
+  EXPECT_EQ(st.learned_removed, 2132u);
+  EXPECT_EQ(st.vars_retired, 264u);
+  EXPECT_EQ(st.clauses_collected, 553u);
+  EXPECT_EQ(s.learned_kept(), 737u);
+  EXPECT_EQ(s.problem_clauses(), 505u);
 }
 
 TEST(SatCnf, DimacsWriter) {
