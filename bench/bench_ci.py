@@ -40,6 +40,8 @@ Exit code 0 = OK, 1 = regression/assertion failure, 2 = usage error.
 
 import argparse
 import json
+import os
+import re
 import sys
 
 
@@ -52,9 +54,15 @@ def load(path):
 
 
 def split_named_input(arg):
-    """NAME=PATH -> (NAME, PATH); a plain path -> (None, PATH)."""
+    """NAME=PATH -> (NAME, PATH); a plain path -> (None, PATH).
+
+    An argument naming an existing file is always a plain path, and NAME
+    must be a bare identifier, so a file name containing '=' is never
+    split.
+    """
     name, sep, path = arg.partition("=")
-    if sep and name and path and "/" not in name:
+    if sep and path and not os.path.exists(arg) and re.fullmatch(
+            r"[A-Za-z0-9_]+", name):
         return name, path
     return None, arg
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "util/check.h"
 
@@ -123,39 +124,31 @@ bool CdclSolver::simplify() {
   // clause.
   for (const Lit l : trail_) reason_[lit_var(l)] = kNoReason;
 
-  // Mark every problem clause with a literal true at level 0.
+  // Mark every problem clause with a literal true at level 0, and list
+  // each run of adjacent marked clauses in arena order with the words
+  // removed up to its end: a survivor at offset cr moves down by the
+  // total of the last run below cr. A retired instance's clauses sit
+  // together, so the table holds one entry per run of them, not one per
+  // deleted clause.
+  std::vector<std::pair<ClauseRef, uint32_t>> gone;  // (run start, words)
+  uint32_t words = 0;
   size_t removed = 0;
+  bool in_run = false;
   for (ClauseRef cr = 0; cr < arena_.size(); cr = clause_next(cr)) {
     const Lit* c = clause_lits(cr);
-    if (!clause_learned(cr) &&
-        std::any_of(c, c + clause_size(cr),
-                    [this](Lit l) { return lit_true(l); })) {
+    const bool dead = !clause_learned(cr) &&
+                      std::any_of(c, c + clause_size(cr),
+                                  [this](Lit l) { return lit_true(l); });
+    if (dead) {
       arena_[cr] |= kDeletedBit;
+      words += kHeaderWords + clause_size(cr);
+      if (!in_run) gone.emplace_back(cr, 0);
+      gone.back().second = words;
       ++removed;
     }
+    in_run = dead;
   }
   if (removed == 0) return true;
-
-  // Park each survivor's post-compaction offset in its birth word, so
-  // the watch lists can be remapped before the clauses move. Births are
-  // non-decreasing along the arena (clauses are appended in solve order
-  // and compaction keeps it), so the learned ones are saved as runs of
-  // equal birth rather than in a per-clause table.
-  std::vector<std::pair<uint32_t, uint32_t>> births;  // (birth, count)
-  ClauseRef to = 0;
-  for (ClauseRef cr = 0; cr < arena_.size(); cr = clause_next(cr)) {
-    if (arena_[cr] & kDeletedBit) continue;
-    if (clause_learned(cr)) {
-      const uint32_t birth = arena_[cr + kBirthWord];
-      OCC_DCHECK(births.empty() || births.back().first <= birth);
-      if (births.empty() || births.back().first != birth) {
-        births.emplace_back(birth, 0);
-      }
-      ++births.back().second;
-    }
-    arena_[cr + kBirthWord] = to;
-    to += kHeaderWords + clause_size(cr);
-  }
 
   // Compact every watch list in place, in order: a collected clause is
   // true at level 0 and never becomes unit or conflicting, so dropping
@@ -165,22 +158,16 @@ bool CdclSolver::simplify() {
     size_t j = 0;
     for (const Watcher& w : ws) {
       if (arena_[w.cr] & kDeletedBit) continue;
-      ws[j++] = Watcher{arena_[w.cr + kBirthWord], w.other};
+      const auto it = std::lower_bound(
+          gone.begin(), gone.end(), w.cr,
+          [](const std::pair<ClauseRef, uint32_t>& g, ClauseRef cr) {
+            return g.first < cr;
+          });
+      const uint32_t shift = it == gone.begin() ? 0 : std::prev(it)->second;
+      ws[j++] = Watcher{w.cr - shift, w.other};
     }
     ws.resize(j);
     if (j < ws.capacity() / 4) ws.shrink_to_fit();
-  }
-
-  // Restore the birth words, then slide the survivors down.
-  size_t run = 0;
-  for (ClauseRef cr = 0; cr < arena_.size(); cr = clause_next(cr)) {
-    if (arena_[cr] & kDeletedBit) continue;
-    uint32_t birth = 0;
-    if (clause_learned(cr)) {
-      birth = births[run].first;
-      if (--births[run].second == 0) ++run;
-    }
-    arena_[cr + kBirthWord] = birth;
   }
   compact_arena();
   problem_clauses_ -= removed;

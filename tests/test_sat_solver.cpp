@@ -43,7 +43,7 @@ Cnf random_cnf(Rng& rng, uint32_t num_vars, size_t num_clauses) {
   Cnf cnf;
   cnf.num_vars = num_vars;
   for (size_t c = 0; c < num_clauses; ++c) {
-    const size_t len = 2 + rng.below(3);
+    const size_t len = 1 + rng.below(4);
     std::vector<Lit> clause;
     for (size_t i = 0; i < len; ++i) {
       // Duplicate and complementary literals on purpose: the solver's
